@@ -11,7 +11,6 @@ colimits and induced actions are all special cases via the encoders.
 from .model import (
     Arrow,
     CompositionError,
-    Graph,
     KanPresentation,
     Path,
     PresentationError,

@@ -23,6 +23,7 @@ from .model import (
     format_term,
     list_as_term,
     load_presentation,
+    path_to_json,
     presentation_to_json,
     term_as_list,
     validate_presentation,
@@ -128,11 +129,8 @@ def _order_from_args(args, pres: KanPresentation) -> OrderSpec:
 
 
 def _rules_json(system: RewriteSystem) -> dict:
-    def path_json(p):
-        return {"id": p.source} if p.is_identity else list(p.labels)
-
     term_rules = [[term_as_list(r.lhs), term_as_list(r.rhs)] for r in system.term_rules]
-    path_rules = [[path_json(r.lhs), path_json(r.rhs)] for r in system.path_rules]
+    path_rules = [[path_to_json(r.lhs), path_to_json(r.rhs)] for r in system.path_rules]
     return {"termRules": term_rules, "pathRules": path_rules}
 
 
@@ -221,8 +219,7 @@ def _cmd_enumerate(args) -> int:
 
     if tables.status is EnumerationStatus.LIMIT_EXCEEDED:
         print("enumeration limit exceeded: complete rewrite system is:")
-        for line in format_system(result.system, canonical_label_rank(pres)):
-            print(line)
+        _print_system(result.system, pres, "text")
         print(f"total={tables.total} status={tables.status.value}")
         return EXIT_LIMIT
     for obj in pres.ob_b:

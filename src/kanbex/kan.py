@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass
 from typing import Mapping
 
-from .model import CompositionError, KanPresentation, Path, Term
+from .model import Arrow, CompositionError, KanPresentation, Path, Term
 from .ordering import OrderSpec
 from .rewrite import RewriteSystem, _reduce_term, check_confluence, reduce_term
 
@@ -50,20 +50,20 @@ class KanTables:
         return self.status is EnumerationStatus.FINITE
 
 
-def _extension_reducible(tag: str, arrows: tuple, idx) -> bool:
+def _extension_reducible(tag: str, codes: tuple[int, ...], idx) -> bool:
     # the base term was irreducible, so only matches touching the new
     # final arrow are possible: a term rule covering the whole path, or
     # a path rule matching a suffix
-    n = len(arrows)
+    n = len(codes)
     by_len = idx.term_map.get(tag)
     if by_len is not None:
         slot = by_len.get(n)
-        if slot is not None and arrows in slot:
+        if slot is not None and codes in slot:
             return True
     for L in idx.path_lens:
         if L > n:
             break
-        if arrows[n - L :] in idx.path_map[L]:
+        if codes[n - L :] in idx.path_map[L]:
             return True
     return False
 
@@ -91,7 +91,8 @@ def enumerate_extension(
     found: list[Term] = []
     exceeded = False
 
-    stage: list[Term] = []
+    # each stage term carries its path's codes
+    stage: list[tuple[Term, tuple[int, ...]]] = []
     for x in sorted(pres.x_labels, key=lambda l: order.x_rank[l]):
         t = Term(x, Path.identity(pres.tag_source(x)))
         if _reduce_term(t, idx) != t:
@@ -100,25 +101,25 @@ def enumerate_extension(
             exceeded = True
             break
         found.append(t)
-        stage.append(t)
+        stage.append((t, ()))
 
-    arrows_by_src: dict[int, list] = {}
+    arrows_by_src: dict[int, list[tuple[Arrow, int]]] = {}
     for a in sorted(pres.arr_b, key=lambda a: order.delta_rank[a.label]):
-        arrows_by_src.setdefault(a.src, []).append(a)
+        arrows_by_src.setdefault(a.src, []).append((a, idx.encode((a,))[0]))
 
     while stage and not exceeded:
-        next_stage: list[Term] = []
-        for t in stage:
-            for arrow in arrows_by_src.get(t.target, ()):
-                arrows = t.path.arrows + (arrow,)
-                if _extension_reducible(t.tag, arrows, idx):
+        next_stage: list[tuple[Term, tuple[int, ...]]] = []
+        for t, codes in stage:
+            for arrow, code in arrows_by_src.get(t.target, ()):
+                ext_codes = codes + (code,)
+                if _extension_reducible(t.tag, ext_codes, idx):
                     continue
                 if len(found) >= limit:
                     exceeded = True
                     break
-                ext = Term(t.tag, Path(t.path.source, arrows))
+                ext = Term(t.tag, Path(t.path.source, t.path.arrows + (arrow,)))
                 found.append(ext)
-                next_stage.append(ext)
+                next_stage.append((ext, ext_codes))
             if exceeded:
                 break
         stage = next_stage

@@ -39,16 +39,6 @@ class Arrow:
 
 
 @dataclass(frozen=True)
-class Graph:
-    objects: tuple[int, ...]
-    arrows: tuple[Arrow, ...]
-
-    @cached_property
-    def by_label(self) -> dict[str, Arrow]:
-        return {a.label: a for a in self.arrows if a.label is not None}
-
-
-@dataclass(frozen=True)
 class Path:
     """A composable arrow sequence with an explicit source object.
 
@@ -133,14 +123,6 @@ class KanPresentation:
     f_arr_a: tuple[Path, ...]
     x_ob_a: tuple[tuple[str, ...], ...]
     x_arr_a: tuple[tuple[str, ...], ...]
-
-    @cached_property
-    def gamma_graph(self) -> Graph:
-        return Graph(self.ob_a, tuple(Arrow(None, s, t) for s, t in self.arr_a))
-
-    @cached_property
-    def delta_graph(self) -> Graph:
-        return Graph(self.ob_b, self.arr_b)
 
     @cached_property
     def arrow_by_label(self) -> dict[str, Arrow]:
@@ -482,7 +464,8 @@ def presentation_from_json(data: Mapping) -> KanPresentation:
     )
 
 
-def _path_to_json(p: Path):
+def path_to_json(p: Path):
+    """JSON form of a path: its label array, or ``{"id": <object>}`` for an identity."""
     return {"id": p.source} if p.is_identity else list(p.labels)
 
 
@@ -492,9 +475,9 @@ def presentation_to_json(p: KanPresentation) -> dict:
         "ArrA": [list(e) for e in p.arr_a],
         "ObB": list(p.ob_b),
         "ArrB": [[a.label, a.src, a.tgt] for a in p.arr_b],
-        "RelB": [[_path_to_json(l), _path_to_json(r)] for l, r in p.rel_b],
+        "RelB": [[path_to_json(l), path_to_json(r)] for l, r in p.rel_b],
         "FObA": list(p.f_ob_a),
-        "FArrA": [_path_to_json(q) for q in p.f_arr_a],
+        "FArrA": [path_to_json(q) for q in p.f_arr_a],
         "XObA": [list(xs) for xs in p.x_ob_a],
         "XArrA": [list(xs) for xs in p.x_arr_a],
     }

@@ -13,12 +13,14 @@ Newman's lemma makes the terminating reduction relation confluent.
 from __future__ import annotations
 
 import enum
+import threading
 from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
 from .model import (
+    Arrow,
     KanPresentation,
     Path,
     PresentationError,
@@ -51,108 +53,125 @@ Rule = EpsRule | KRule
 
 
 class _RuleIndex:
-    """Hash lookup from left-hand sides to right-hand sides.
+    """Hash lookup from left-hand sides to right-hand sides, over
+    int-coded words.
 
-    Keys are arrow tuples (labels are globally unique, so arrow tuples
-    and label tuples are interchangeable).  The first-added rule wins for
-    a given left-hand side; reduction applies the leftmost, shortest
-    match, term rules before path rules.
+    Each index interns the arrow labels it meets to small ints: ``codes``
+    maps a label to its int and ``arrows`` maps it back.  Labels are
+    unique within a presentation, and every index owns its table, so
+    codes never mix presentations.  Keys are code tuples; a path rule's
+    right-hand side is a code tuple, a term rule's is ``(tag, source,
+    codes)``.  The first-added rule wins for a given left-hand side;
+    reduction applies the leftmost, shortest match, term rules before
+    path rules.
     """
 
-    __slots__ = ("term_map", "term_lens", "path_map", "path_lens")
+    __slots__ = ("codes", "arrows", "term_map", "term_lens", "path_map", "path_lens", "_lock")
 
-    def __init__(self):
-        self.term_map: dict[str, dict[int, dict[tuple, Term]]] = {}
+    def __init__(self, rules: Iterable[Rule] = ()):
+        self.codes: dict[str, int] = {}
+        self.arrows: list[Arrow] = []
+        self.term_map: dict[str, dict[int, dict[tuple[int, ...], tuple]]] = {}
         self.term_lens: dict[str, list[int]] = {}
-        self.path_map: dict[int, dict[tuple, Path]] = {}
+        self.path_map: dict[int, dict[tuple[int, ...], tuple[int, ...]]] = {}
         self.path_lens: list[int] = []
+        # a system's index is shared, and encoding interns unseen labels
+        self._lock = threading.Lock()
+        for r in rules:
+            if isinstance(r, EpsRule):
+                self.add_term_rule(r)
+            else:
+                self.add_path_rule(r)
+
+    def encode(self, arrows: tuple[Arrow, ...]) -> tuple[int, ...]:
+        codes = self.codes
+        try:
+            return tuple([codes[a.label] for a in arrows])
+        except KeyError:
+            with self._lock:
+                for a in arrows:
+                    if a.label not in codes:
+                        # publish the arrow before its code
+                        self.arrows.append(a)
+                        codes[a.label] = len(self.arrows) - 1
+            return tuple([codes[a.label] for a in arrows])
+
+    def decode(self, source: int, codes: tuple[int, ...]) -> Path:
+        arrows = self.arrows
+        return Path(source, tuple([arrows[c] for c in codes]))
 
     def add_term_rule(self, rule: EpsRule) -> None:
-        key = rule.lhs.path.arrows
+        key = self.encode(rule.lhs.path.arrows)
         by_len = self.term_map.setdefault(rule.lhs.tag, {})
         slot = by_len.setdefault(len(key), {})
         if key not in slot:
-            slot[key] = rule.rhs
+            rhs = rule.rhs
+            slot[key] = (rhs.tag, rhs.path.source, self.encode(rhs.path.arrows))
             lens = self.term_lens.setdefault(rule.lhs.tag, [])
             if len(key) not in lens:
                 insort(lens, len(key))
 
     def add_path_rule(self, rule: KRule) -> None:
-        key = rule.lhs.arrows
+        key = self.encode(rule.lhs.arrows)
         slot = self.path_map.setdefault(len(key), {})
         if key not in slot:
-            slot[key] = rule.rhs
+            slot[key] = self.encode(rule.rhs.arrows)
             if len(key) not in self.path_lens:
                 insort(self.path_lens, len(key))
 
-    @classmethod
-    def from_rules(cls, rules: Iterable[Rule]) -> "_RuleIndex":
-        idx = cls()
-        for r in rules:
-            if isinstance(r, EpsRule):
-                idx.add_term_rule(r)
-            else:
-                idx.add_path_rule(r)
-        return idx
 
-
-def _reduce_term(t: Term, idx: _RuleIndex) -> Term:
-    tag = t.tag
-    source = t.path.source
-    arrows = t.path.arrows
+def _rewrite(tag: str | None, source: int, codes: tuple[int, ...],
+             idx: _RuleIndex) -> tuple[str | None, int, tuple[int, ...]]:
+    """Rewrite a coded word until no rule applies; ``tag`` None is a bare
+    path, which only path rules touch.  Each round tries the term rules
+    (shortest first), else applies one path rule at the leftmost position
+    (shortest first)."""
+    path_map = idx.path_map
+    path_lens = idx.path_lens
+    # no path lhs matches left of ``start``: a path rewrite at i keeps
+    # codes[:i], where none matched, so a new match must reach past i-1
+    start = 0
     while True:
         hit = None
         lens = idx.term_lens.get(tag)
         if lens:
             by_len = idx.term_map[tag]
-            n = len(arrows)
+            n = len(codes)
             for L in lens:
                 if L > n:
                     break
-                rhs = by_len[L].get(arrows[:L])
-                if rhs is not None:
-                    tag = rhs.tag
-                    source = rhs.path.source
-                    arrows = rhs.path.arrows + arrows[L:]
-                    hit = rhs
+                hit = by_len[L].get(codes[:L])
+                if hit is not None:
+                    tag, source, head = hit
+                    codes = head + codes[L:]
+                    start = 0
                     break
-        if hit is not None:
-            continue
-        n = len(arrows)
-        done = True
-        for i in range(n):
-            for L in idx.path_lens:
+            if hit is not None:
+                continue
+        n = len(codes)
+        for i in range(start, n):
+            for L in path_lens:
                 if i + L > n:
                     break
-                rhs = idx.path_map[L].get(arrows[i : i + L])
-                if rhs is not None:
-                    arrows = arrows[:i] + rhs.arrows + arrows[i + L :]
-                    done = False
+                hit = path_map[L].get(codes[i : i + L])
+                if hit is not None:
+                    codes = codes[:i] + hit + codes[i + L :]
+                    start = max(0, i - path_lens[-1] + 1)
                     break
-            if not done:
+            if hit is not None:
                 break
-        if done:
-            return Term(tag, Path(source, arrows))
+        if hit is None:
+            return tag, source, codes
+
+
+def _reduce_term(t: Term, idx: _RuleIndex) -> Term:
+    tag, source, codes = _rewrite(t.tag, t.path.source, idx.encode(t.path.arrows), idx)
+    return Term(tag, idx.decode(source, codes))
 
 
 def _reduce_path(p: Path, idx: _RuleIndex) -> Path:
-    arrows = p.arrows
-    while True:
-        n = len(arrows)
-        done = True
-        for i in range(n):
-            for L in idx.path_lens:
-                if i + L > n:
-                    break
-                rhs = idx.path_map[L].get(arrows[i : i + L])
-                if rhs is not None:
-                    arrows = arrows[:i] + rhs.arrows + arrows[i + L :]
-                    done = False
-                    break
-            if not done:
-                break
-        if done:
-            return Path(p.source, arrows)
+    _, _, codes = _rewrite(None, p.source, idx.encode(p.arrows), idx)
+    return idx.decode(p.source, codes)
 
 
 @dataclass(frozen=True)
@@ -171,7 +190,7 @@ class RewriteSystem:
 
     @cached_property
     def _index(self) -> _RuleIndex:
-        return _RuleIndex.from_rules(self.rules)
+        return _RuleIndex(self.rules)
 
 
 class CompletionStatus(enum.Enum):
@@ -341,9 +360,8 @@ def _end_overlap_pair(ri: Rule, rj: Rule, o: int, i: int, j: int) -> CriticalPai
 def resolves(cp: CriticalPair, system: RewriteSystem) -> bool:
     """A pair resolves when both sides reduce to the same object."""
     idx = system._index
-    if cp.is_term_pair:
-        return _reduce_term(cp.left, idx) == _reduce_term(cp.right, idx)
-    return _reduce_path(cp.left, idx) == _reduce_path(cp.right, idx)
+    reduce = _reduce_term if cp.is_term_pair else _reduce_path
+    return reduce(cp.left, idx) == reduce(cp.right, idx)
 
 
 def check_confluence(system: RewriteSystem) -> bool:
@@ -403,15 +421,11 @@ def complete(
         current = freeze()
         pairs = find_critical_pairs(current)
         pairs.sort(key=lambda cp: _pair_sort_key(cp, order))
-        idx = _RuleIndex.from_rules(current.rules)
+        idx = _RuleIndex(current.rules)
         grew = False
         for cp in pairs:
-            if cp.is_term_pair:
-                a = _reduce_term(cp.left, idx)
-                b = _reduce_term(cp.right, idx)
-            else:
-                a = _reduce_path(cp.left, idx)
-                b = _reduce_path(cp.right, idx)
+            reduce = _reduce_term if cp.is_term_pair else _reduce_path
+            a, b = reduce(cp.left, idx), reduce(cp.right, idx)
             pair = orient_pair(a, b, order)
             if pair is None or pair in seen:
                 continue
@@ -460,15 +474,11 @@ def interreduce(system: RewriteSystem, order: OrderSpec) -> RewriteSystem:
     changed = True
     while changed:
         changed = False
-        idx_all = _RuleIndex.from_rules(rules)
+        idx_all = _RuleIndex(rules)
         for pos, rule in enumerate(rules):
-            idx_rest = _RuleIndex.from_rules(rules[:pos] + rules[pos + 1 :])
-            if isinstance(rule, EpsRule):
-                l2 = _reduce_term(rule.lhs, idx_rest)
-                r2 = _reduce_term(rule.rhs, idx_all)
-            else:
-                l2 = _reduce_path(rule.lhs, idx_rest)
-                r2 = _reduce_path(rule.rhs, idx_all)
+            idx_rest = _RuleIndex(rules[:pos] + rules[pos + 1 :])
+            reduce = _reduce_term if isinstance(rule, EpsRule) else _reduce_path
+            l2, r2 = reduce(rule.lhs, idx_rest), reduce(rule.rhs, idx_all)
             if l2 == rule.lhs and r2 == rule.rhs:
                 continue
             del rules[pos]

@@ -7,6 +7,7 @@ import pytest
 from kanbex import (
     Arrow,
     KanPresentation,
+    MonoidPresentationDesc,
     OrderSpec,
     Path,
     complete,
@@ -36,6 +37,17 @@ def build_demo_presentation() -> KanPresentation:
         x_ob_a=(("x1", "x2", "x3"), ("y1", "y2")),
         x_arr_a=(("y1", "y2", "y1"), ("x1", "x2")),
     )
+
+
+# the infinite von Dyck group (2,5,4): completion never ends, so runs of
+# it stop at a budget
+VON_DYCK = MonoidPresentationDesc(("a", "b", "B"), (
+    (("a", "a"), ()),
+    (("b", "B"), ()),
+    (("B", "b"), ()),
+    (("b",) * 5, ()),
+    (("a", "b") * 4, ()),
+))
 
 
 @pytest.fixture(scope="session")

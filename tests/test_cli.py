@@ -1,7 +1,9 @@
 import json
 
-from kanbex import parse_presentation, presentation_to_json
+from kanbex import from_monoid_presentation, parse_presentation, presentation_to_json
 from kanbex.cli import main
+
+from .conftest import VON_DYCK
 
 
 def run_cli(capsys, *argv):
@@ -218,3 +220,70 @@ def test_output_is_deterministic(capsys, data_dir):
     first = run_cli(capsys, "complete", str(data_dir / "infinite_extension.json"))
     second = run_cli(capsys, "complete", str(data_dir / "infinite_extension.json"))
     assert first == second
+
+
+# Outputs below were recorded before the rule index moved to int-coded
+# words.  Completion reduces against non-confluent intermediate systems,
+# so they pin the reduction strategy (leftmost shortest match, term
+# rules before path rules, one path rewrite between term-rule checks):
+# any other strategy adds other rules or adds them in another order.
+
+
+def test_budgeted_von_dyck_enumerate_stops_at_the_pass_limit(capsys, tmp_path):
+    f = tmp_path / "vondyck.json"
+    f.write_text(json.dumps(presentation_to_json(from_monoid_presentation(VON_DYCK))))
+    assert run_cli(capsys, "enumerate", "--max-passes", "4", str(f)) == (
+        2, "",
+        "completion limit exceeded (pass limit 4 reached) after 4 passes; 19 rules so far\n",
+    )
+
+
+COSETS_CSQ_ENUMERATION = {
+    "status": "Finite", "total": 4,
+    "elements": {"1": [["H"], ["H", "a"], ["H", "c"], ["H", "a", "c"]]},
+    # system order, not print order
+    "termRules": [
+        [["H", "c", "c"], ["H"]],
+        [["H", "a", "a"], ["H", "a"]],
+        [["H", "c", "a"], ["H", "a", "c"]],
+        [["H", "a", "c", "c"], ["H", "a"]],
+        [["H", "b"], ["H", "a"]],
+        [["H", "a", "c", "a"], ["H", "a", "c"]],
+        [["H", "a", "b"], ["H", "a"]],
+        [["H", "c", "b"], ["H", "a", "c"]],
+    ],
+    "pathRules": [
+        [["a", "a", "b"], ["b", "a"]],
+        [["a", "a", "c"], ["c", "a"]],
+        [["c", "a", "c", "a"], ["b"]],
+        [["c", "c", "a", "a"], ["b", "a"]],
+        [["b", "a", "a"], ["b", "a"]],
+        [["b", "a", "c"], ["c", "b"]],
+        [["b", "c", "a"], ["c", "b"]],
+        [["c", "b", "a"], ["c", "b"]],
+        [["a", "b", "c"], ["c", "b"]],
+        [["a", "c", "b"], ["c", "b"]],
+        [["b", "a", "b"], ["b", "b"]],
+        [["a", "b", "b"], ["b", "b"]],
+        [["b", "c", "b"], ["b", "b", "c"]],
+        [["b", "b", "b", "c"], ["c", "b"]],
+        [["b", "b", "c", "c"], ["b", "b", "b"]],
+        [["c", "a", "b"], ["c", "b"]],
+        [["c", "a", "c", "c", "a"], ["c", "b"]],
+        [["c", "c", "c", "a"], ["c", "b"]],
+        [["b", "b", "a"], ["b", "b"]],
+        [["b", "c", "c", "a"], ["b", "b"]],
+        [["b", "b", "b", "b"], ["b", "b"]],
+        [["c", "b", "b"], ["b", "b", "c"]],
+        [["c", "c", "b"], ["b", "b"]],
+        [["c", "b", "c"], ["b", "b"]],
+    ],
+}
+
+
+def test_coset_enumeration_json_is_byte_identical(capsys, data_dir, tmp_path):
+    f = tmp_path / "cosets_csq.json"
+    assert run_cli(capsys, "encode", "cosets", str(data_dir / "cosets_csq.json"),
+                   "-o", str(f))[0] == 0
+    assert run_cli(capsys, "enumerate", "--format", "json", str(f)) == (
+        0, json.dumps(COSETS_CSQ_ENUMERATION, indent=2) + "\n", "")

@@ -28,12 +28,6 @@ def test_demo_presentation_validates(demo_pres):
     assert validate_presentation(demo_pres).ok
 
 
-def test_presentation_exposes_both_graphs(demo_pres):
-    assert demo_pres.gamma_graph.objects == (1, 2)
-    assert all(a.label is None for a in demo_pres.gamma_graph.arrows)
-    assert demo_pres.delta_graph.by_label["b4"].src == 1
-
-
 def test_empty_presentation_validates():
     empty = KanPresentation((), (), (), (), (), (), (), (), ())
     assert validate_presentation(empty).ok

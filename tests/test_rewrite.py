@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import pytest
 
@@ -7,6 +9,7 @@ from kanbex import (
     EpsRule,
     KanPresentation,
     KRule,
+    MonoidPresentationDesc,
     OrderSpec,
     Path,
     PresentationError,
@@ -14,17 +17,21 @@ from kanbex import (
     Term,
     check_confluence,
     complete,
+    enumerate_extension,
     find_critical_pairs,
     format_rule,
+    from_category_presentation,
+    from_monoid_presentation,
     initial_rules,
     interreduce,
+    list_as_term,
     reduce_path,
     reduce_term,
     resolves,
 )
 from kanbex.encodings import CosetSystemDesc, from_coset_system
 
-from .conftest import build_demo_presentation
+from .conftest import VON_DYCK, build_demo_presentation
 from .oracles import (
     alignment_critical_pairs,
     brute_normal_form,
@@ -273,6 +280,86 @@ def test_completion_limit_is_a_status():
 def test_confluence_examples(demo_initial):
     assert not check_confluence(demo_initial)
     assert check_confluence(RewriteSystem())
+
+
+def test_budgeted_von_dyck_rules_in_system_order():
+    # recorded before the rule index moved to int-coded words: the rules
+    # a pass-limited completion adds, and their order, follow from the
+    # reduction strategy (see also tests/test_cli.py)
+    pres = from_monoid_presentation(VON_DYCK)
+    order = OrderSpec.from_presentation(pres)
+    result = complete(initial_rules(pres, order), order, max_passes=4)
+    assert (result.complete, result.passes, result.rules_added) == (False, 4, 14)
+    assert [format_rule(r) for r in result.system.rules] == [
+        "a*a -> IdWord", "b*B -> IdWord", "B*b -> IdWord",
+        "b*b*b*b*b -> IdWord", "a*b*a*b*a*b*a*b -> IdWord",
+        "b*b*b*b -> B", "a*b*a*b*a*b*a -> B", "b*a*b*a*b*a*b -> a",
+        "b*b*b -> B*B", "B*B*B -> b*b", "a*b*a*b*a*b -> B*a",
+        "b*a*b*a*b*a -> a*B", "a*b*a*b*a -> B*a*B", "b*a*b*a*b -> a*B*a",
+        "b*a*b*a -> a*B*a*B", "B*a*B*a -> a*b*a*b",
+        "B*B*a*b*a*b -> b*b*a*B*a", "b*b*a*B*a*B -> B*B*a*b*a",
+        "B*B*a*b*a*B*B -> b*b*a*B*a*b*b",
+    ]
+
+
+def test_presentations_sharing_a_label_reduce_independently():
+    # b1 runs 1 -> 2 in one presentation and is a loop at 1 in the other;
+    # each system codes its own labels, so neither sees the other's arrow
+    two = from_category_presentation(
+        (1, 2), (("b1", 1, 2), ("b2", 2, 1)),
+        ((("b1", "b2"), ()), (("b2", "b1"), ())), points=("x", "y"))
+    loop = from_monoid_presentation(
+        MonoidPresentationDesc(("b1",), ((("b1",) * 3, ()),)), point="e")
+    systems = []
+    for pres in (two, loop):
+        order = OrderSpec.from_presentation(pres)
+        result = complete(initial_rules(pres, order), order)
+        assert result.complete
+        systems.append(result.system)
+
+    def reduce(pres, system, *labels):
+        return reduce_term(list_as_term(labels, pres), system)
+
+    for _ in range(2):  # alternate, so each index is used after the other
+        nf = reduce(two, systems[0], "x", "b1", "b2", "b1")
+        assert nf == list_as_term(("x", "b1"), two) and nf.target == 2
+        nf = reduce(loop, systems[1], "e", "b1", "b1", "b1", "b1")
+        assert nf == list_as_term(("e", "b1"), loop) and nf.target == 1
+        assert reduce(two, systems[0], "y", "b2", "b1") == list_as_term(("y",), two)
+    assert enumerate_extension(two, systems[0]).total == 4
+    assert enumerate_extension(loop, systems[1]).total == 3
+
+
+def test_threads_sharing_a_system_reduce_correctly():
+    # a system's index is shared, and reducing a term interns the labels
+    # no rule mentions; threads doing so at once must not mix codes
+    gens = ("a",) + tuple(f"g{k}" for k in range(1024))
+    pres = from_monoid_presentation(MonoidPresentationDesc(gens, ((("a", "a"), ()),)))
+    rules = initial_rules(pres)
+    failures = []
+
+    def work(system, labels, start):
+        start.wait(timeout=30)
+        nf = reduce_term(list_as_term(("e", *labels, "a", "a", *labels), pres), system)
+        if nf != list_as_term(("e", *labels, *labels), pres):
+            failures.append(nf)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            system = RewriteSystem(rules.term_rules, rules.path_rules)  # a fresh index
+            start = threading.Barrier(4)
+            threads = [threading.Thread(target=work, args=(system, gens[1 + k :: 4], start))
+                       for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert failures == []
 
 
 # --- interreduction ---
