@@ -60,6 +60,16 @@ def _comma_list(value: str) -> list[str]:
     return [item for item in value.split(",") if item]
 
 
+def _positive_int(value: str) -> int:
+    try:
+        n = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}")
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {n}")
+    return n
+
+
 def _add_common(sp) -> None:
     sp.add_argument("file", help="presentation file (JSON)")
     sp.add_argument("--order", choices=["lenlex"], default="lenlex",
@@ -72,8 +82,8 @@ def _add_common(sp) -> None:
 
 
 def _add_limits(sp) -> None:
-    sp.add_argument("--max-rules", type=int, default=10000)
-    sp.add_argument("--max-passes", type=int, default=100)
+    sp.add_argument("--max-rules", type=_positive_int, default=10000)
+    sp.add_argument("--max-passes", type=_positive_int, default=100)
     sp.add_argument("--no-interreduce", action="store_true",
                     help="leave the completed system un-normalized")
 

@@ -50,22 +50,30 @@ class KanTables:
         return self.status is EnumerationStatus.FINITE
 
 
-def _extension_reducible(tag: str, codes: tuple[int, ...], idx) -> bool:
-    # the base term was irreducible, so only matches touching the new
-    # final arrow are possible: a term rule covering the whole path, or
-    # a path rule matching a suffix
-    n = len(codes)
-    by_len = idx.term_map.get(tag)
-    if by_len is not None:
-        slot = by_len.get(n)
-        if slot is not None and codes in slot:
-            return True
-    for L in idx.path_lens:
-        if L > n:
-            break
-        if codes[n - L :] in idx.path_map[L]:
-            return True
-    return False
+def _extension_reducible(state: tuple, code: int) -> tuple | None:
+    """Advance an irreducible term's trie state by one arrow's code.
+
+    The state is the term's node in its tag's term trie (None once no
+    term lhs has the term's path as a prefix) and the path-trie nodes
+    that the path's suffixes reach, the root for the empty one first.
+    The term was irreducible, so only matches touching the new final
+    arrow are possible: a term rule covering the whole path, or a path
+    rule matching a suffix.  Returns None when the extension is
+    reducible and its state otherwise.
+    """
+    term, suffixes = state
+    if term is not None:
+        term = term[1].get(code)
+        if term is not None and term[0] is not None:
+            return None
+    reached = [suffixes[0]]
+    for node in suffixes:
+        node = node[1].get(code)
+        if node is not None:
+            if node[0] is not None:
+                return None
+            reached.append(node)
+    return term, tuple(reached)
 
 
 def enumerate_extension(
@@ -91,8 +99,8 @@ def enumerate_extension(
     found: list[Term] = []
     exceeded = False
 
-    # each stage term carries its path's codes
-    stage: list[tuple[Term, tuple[int, ...]]] = []
+    # each stage term carries its trie state (see _extension_reducible)
+    stage: list[tuple[Term, tuple]] = []
     for x in sorted(pres.x_labels, key=lambda l: order.x_rank[l]):
         t = Term(x, Path.identity(pres.tag_source(x)))
         if _reduce_term(t, idx) != t:
@@ -101,25 +109,25 @@ def enumerate_extension(
             exceeded = True
             break
         found.append(t)
-        stage.append((t, ()))
+        stage.append((t, (idx.terms.get(x), (idx.paths,))))
 
     arrows_by_src: dict[int, list[tuple[Arrow, int]]] = {}
     for a in sorted(pres.arr_b, key=lambda a: order.delta_rank[a.label]):
         arrows_by_src.setdefault(a.src, []).append((a, idx.encode((a,))[0]))
 
     while stage and not exceeded:
-        next_stage: list[tuple[Term, tuple[int, ...]]] = []
-        for t, codes in stage:
+        next_stage: list[tuple[Term, tuple]] = []
+        for t, state in stage:
             for arrow, code in arrows_by_src.get(t.target, ()):
-                ext_codes = codes + (code,)
-                if _extension_reducible(t.tag, ext_codes, idx):
+                ext_state = _extension_reducible(state, code)
+                if ext_state is None:
                     continue
                 if len(found) >= limit:
                     exceeded = True
                     break
                 ext = Term(t.tag, Path(t.path.source, t.path.arrows + (arrow,)))
                 found.append(ext)
-                next_stage.append((ext, ext_codes))
+                next_stage.append((ext, ext_state))
             if exceeded:
                 break
         stage = next_stage

@@ -101,12 +101,11 @@ def orient_pair(a, b, order: OrderSpec):
 
 
 def path_sort_key(p: Path, order: OrderSpec) -> tuple:
-    return (len(p.arrows), tuple(order.delta_rank[l] for l in p.labels))
+    rank = order.delta_rank
+    return (len(p.arrows), tuple([rank[a.label] for a in p.arrows]))
 
 
 def term_sort_key(t: Term, order: OrderSpec) -> tuple:
-    return (
-        len(t),
-        order.x_rank[t.tag],
-        tuple(order.delta_rank[l] for l in t.path.labels),
-    )
+    rank = order.delta_rank
+    arrows = t.path.arrows
+    return (1 + len(arrows), order.x_rank[t.tag], tuple([rank[a.label] for a in arrows]))

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 import threading
-from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -53,35 +52,37 @@ Rule = EpsRule | KRule
 
 
 class _RuleIndex:
-    """Hash lookup from left-hand sides to right-hand sides, over
-    int-coded words.
+    """Prefix tries over int-coded left-hand sides.
 
     Each index interns the arrow labels it meets to small ints: ``codes``
     maps a label to its int and ``arrows`` maps it back.  Labels are
     unique within a presentation, and every index owns its table, so
-    codes never mix presentations.  Keys are code tuples; a path rule's
-    right-hand side is a code tuple, a term rule's is ``(tag, source,
-    codes)``.  The first-added rule wins for a given left-hand side;
-    reduction applies the leftmost, shortest match, term rules before
-    path rules.
+    codes never mix presentations.  There is one trie of path rules
+    (``paths``) and one of term rules per tag (``terms``), keyed by the
+    lhs path's codes.  A node is ``[rhs, children]``: ``children`` maps a
+    code to the next node, and ``rhs`` is None unless a left-hand side
+    ends at the node; a path rule's is a code tuple, a term rule's
+    ``(tag, source, codes)``, and a term trie's root holds the rule whose
+    lhs path is empty.  Insertion never overwrites an ``rhs``, so the
+    first-added rule wins for a given left-hand side; reduction applies
+    the leftmost, shortest match, term rules before path rules.
+    ``longest`` bounds the length of a path lhs.  A system's cached index
+    is shared and only read; only ``complete`` and ``interreduce`` change
+    the indexes they build.
     """
 
-    __slots__ = ("codes", "arrows", "term_map", "term_lens", "path_map", "path_lens", "_lock")
+    __slots__ = ("codes", "arrows", "terms", "paths", "longest", "_lock")
 
     def __init__(self, rules: Iterable[Rule] = ()):
         self.codes: dict[str, int] = {}
         self.arrows: list[Arrow] = []
-        self.term_map: dict[str, dict[int, dict[tuple[int, ...], tuple]]] = {}
-        self.term_lens: dict[str, list[int]] = {}
-        self.path_map: dict[int, dict[tuple[int, ...], tuple[int, ...]]] = {}
-        self.path_lens: list[int] = []
+        self.terms: dict[str, list] = {}
+        self.paths: list = [None, {}]
+        self.longest = 0
         # a system's index is shared, and encoding interns unseen labels
         self._lock = threading.Lock()
         for r in rules:
-            if isinstance(r, EpsRule):
-                self.add_term_rule(r)
-            else:
-                self.add_path_rule(r)
+            self.add(r)
 
     def encode(self, arrows: tuple[Arrow, ...]) -> tuple[int, ...]:
         codes = self.codes
@@ -100,24 +101,30 @@ class _RuleIndex:
         arrows = self.arrows
         return Path(source, tuple([arrows[c] for c in codes]))
 
-    def add_term_rule(self, rule: EpsRule) -> None:
-        key = self.encode(rule.lhs.path.arrows)
-        by_len = self.term_map.setdefault(rule.lhs.tag, {})
-        slot = by_len.setdefault(len(key), {})
-        if key not in slot:
-            rhs = rule.rhs
-            slot[key] = (rhs.tag, rhs.path.source, self.encode(rhs.path.arrows))
-            lens = self.term_lens.setdefault(rule.lhs.tag, [])
-            if len(key) not in lens:
-                insort(lens, len(key))
+    def node(self, rule: Rule) -> list:
+        """The trie node of ``rule``'s left-hand side, made if missing."""
+        if isinstance(rule, EpsRule):
+            node = self.terms.setdefault(rule.lhs.tag, [None, {}])
+            key = self.encode(rule.lhs.path.arrows)
+        else:
+            node = self.paths
+            key = self.encode(rule.lhs.arrows)
+            self.longest = max(self.longest, len(key))
+        for c in key:
+            node = node[1].setdefault(c, [None, {}])
+        return node
 
-    def add_path_rule(self, rule: KRule) -> None:
-        key = self.encode(rule.lhs.arrows)
-        slot = self.path_map.setdefault(len(key), {})
-        if key not in slot:
-            slot[key] = self.encode(rule.rhs.arrows)
-            if len(key) not in self.path_lens:
-                insort(self.path_lens, len(key))
+    def rhs(self, rule: Rule) -> tuple:
+        """``rule``'s right-hand side as its trie node holds it."""
+        if isinstance(rule, EpsRule):
+            r = rule.rhs
+            return (r.tag, r.path.source, self.encode(r.path.arrows))
+        return self.encode(rule.rhs.arrows)
+
+    def add(self, rule: Rule) -> None:
+        node = self.node(rule)
+        if node[0] is None:
+            node[0] = self.rhs(rule)
 
 
 def _rewrite(tag: str | None, source: int, codes: tuple[int, ...],
@@ -125,42 +132,38 @@ def _rewrite(tag: str | None, source: int, codes: tuple[int, ...],
     """Rewrite a coded word until no rule applies; ``tag`` None is a bare
     path, which only path rules touch.  Each round tries the term rules
     (shortest first), else applies one path rule at the leftmost position
-    (shortest first)."""
-    path_map = idx.path_map
-    path_lens = idx.path_lens
+    (shortest first): one trie walk per position, stopped at the first
+    node with a right-hand side."""
+    roots = idx.paths[1]
+    longest = idx.longest
     # no path lhs matches left of ``start``: a path rewrite at i keeps
     # codes[:i], where none matched, so a new match must reach past i-1
     start = 0
     while True:
-        hit = None
-        lens = idx.term_lens.get(tag)
-        if lens:
-            by_len = idx.term_map[tag]
+        node = idx.terms.get(tag)
+        if node is not None:
             n = len(codes)
-            for L in lens:
-                if L > n:
-                    break
-                hit = by_len[L].get(codes[:L])
-                if hit is not None:
-                    tag, source, head = hit
-                    codes = head + codes[L:]
-                    start = 0
-                    break
-            if hit is not None:
+            L = 0
+            while node is not None and node[0] is None and L < n:
+                node = node[1].get(codes[L])
+                L += 1
+            if node is not None and node[0] is not None:
+                tag, source, head = node[0]
+                codes = head + codes[L:]
+                start = 0
                 continue
         n = len(codes)
         for i in range(start, n):
-            for L in path_lens:
-                if i + L > n:
-                    break
-                hit = path_map[L].get(codes[i : i + L])
-                if hit is not None:
-                    codes = codes[:i] + hit + codes[i + L :]
-                    start = max(0, i - path_lens[-1] + 1)
-                    break
-            if hit is not None:
+            node = roots.get(codes[i])
+            j = i + 1
+            while node is not None and node[0] is None and j < n:
+                node = node[1].get(codes[j])
+                j += 1
+            if node is not None and node[0] is not None:
+                codes = codes[:i] + node[0] + codes[j:]
+                start = max(0, i - longest + 1)
                 break
-        if hit is None:
+        else:
             return tag, source, codes
 
 
@@ -441,11 +444,10 @@ def complete(
             if cp.is_term_pair:
                 rule = EpsRule(*pair)
                 term_rules.append(rule)
-                idx.add_term_rule(rule)
             else:
                 rule = KRule(*pair)
                 path_rules.append(rule)
-                idx.add_path_rule(rule)
+            idx.add(rule)
             added += 1
             grew = True
             if len(term_rules) + len(path_rules) > max_rules:
@@ -474,11 +476,22 @@ def interreduce(system: RewriteSystem, order: OrderSpec) -> RewriteSystem:
     changed = True
     while changed:
         changed = False
-        idx_all = _RuleIndex(rules)
+        idx = _RuleIndex(rules)
+        # positions by lhs; a Term lhs never equals a Path lhs
+        owners: dict[Term | Path, list[int]] = {}
         for pos, rule in enumerate(rules):
-            idx_rest = _RuleIndex(rules[:pos] + rules[pos + 1 :])
+            owners.setdefault(rule.lhs, []).append(pos)
+        for pos, rule in enumerate(rules):
+            # reduce the lhs against the other rules: its trie node takes
+            # the rhs of the first other rule with the same lhs, if any
+            node = idx.node(rule)
+            own = node[0]
+            twins = [k for k in owners[rule.lhs] if k != pos]
+            node[0] = idx.rhs(rules[twins[0]]) if twins else None
             reduce = _reduce_term if isinstance(rule, EpsRule) else _reduce_path
-            l2, r2 = reduce(rule.lhs, idx_rest), reduce(rule.rhs, idx_all)
+            l2 = reduce(rule.lhs, idx)
+            node[0] = own
+            r2 = reduce(rule.rhs, idx)
             if l2 == rule.lhs and r2 == rule.rhs:
                 continue
             del rules[pos]

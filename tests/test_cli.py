@@ -1,4 +1,8 @@
+import hashlib
 import json
+import pathlib
+
+import pytest
 
 from kanbex import from_monoid_presentation, parse_presentation, presentation_to_json
 from kanbex.cli import main
@@ -198,6 +202,20 @@ def test_bad_flag_is_usage_error(capsys, data_dir):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("complete", "--max-passes", "0"),
+    ("complete", "--max-rules", "-1"),
+    ("enumerate", "--max-passes", "-3"),
+    ("enumerate", "--max-rules", "-1"),
+    ("reduce", "--max-rules", "-1", "--term", "x1"),
+    ("reduce", "--max-passes", "0", "--term", "x1"),
+])
+def test_non_positive_completion_limit_is_usage_error(capsys, data_dir, argv):
+    code, out, err = run_cli(capsys, *argv, str(data_dir / "infinite_extension.json"))
+    assert (code, out) == (1, "")
+    assert err.startswith("kanbex: error: argument --max-") and "must be positive" in err
+
+
 def test_order_flags(capsys, data_dir):
     code, out, _ = run_cli(capsys, "rules", str(data_dir / "infinite_extension.json"),
                            "--xorder", "y2,y1,x3,x2,x1")
@@ -287,3 +305,43 @@ def test_coset_enumeration_json_is_byte_identical(capsys, data_dir, tmp_path):
                    "-o", str(f))[0] == 0
     assert run_cli(capsys, "enumerate", "--format", "json", str(f)) == (
         0, json.dumps(COSETS_CSQ_ENUMERATION, indent=2) + "\n", "")
+
+
+# sha256 of stdout and stderr, and the exit code, of CLI runs on every
+# bundled problem, recorded before the rule index became a prefix trie.
+# Nothing rewrites tests/cli_digests.json: a change meant to alter output
+# records it again and says why.
+CLI_DIGESTS = json.loads((pathlib.Path(__file__).parent / "cli_digests.json").read_text())
+BUNDLED = [
+    ("category", "s3_cayley_groupoid.json"),
+    ("category", "infinite_category.json"),
+    ("cosets", "cosets_b.json"),
+    ("cosets", "cosets_csq.json"),
+    ("orbits", "s3_orbits.json"),
+    ("orbits", "quaternion_conjugacy.json"),
+    ("colimit", "coequaliser.json"),
+    (None, "infinite_extension.json"),  # already a presentation
+]
+DIGESTED_RUNS = [
+    ("complete", "--format", "json"),
+    ("complete", "--no-interreduce", "--format", "json"),
+    ("enumerate", "--format", "json"),
+    ("enumerate", "--max-passes", "3"),
+]
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("family,name", BUNDLED)
+def test_cli_output_matches_recorded_digests(capsys, data_dir, tmp_path, family, name):
+    f = data_dir / name
+    if family is not None:
+        f = tmp_path / name
+        assert run_cli(capsys, "encode", family, str(data_dir / name), "-o", str(f))[0] == 0
+    got = {}
+    for argv in DIGESTED_RUNS:
+        code, out, err = run_cli(capsys, *argv, str(f))
+        got[" ".join(argv)] = {"exit": code, "stdout": _sha256(out), "stderr": _sha256(err)}
+    assert got == CLI_DIGESTS[name]

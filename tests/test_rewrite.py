@@ -302,6 +302,60 @@ def test_budgeted_von_dyck_rules_in_system_order():
     ]
 
 
+# Hand-built systems, neither oriented nor interreduced, so left-hand
+# sides nest and repeat as they never do after completion.  Expected
+# values were recorded before the rule index became a prefix trie.
+
+LOOPS = KanPresentation(
+    ob_a=(1,), arr_a=(), ob_b=(1,), arr_b=tuple(Arrow(l, 1, 1) for l in "abcd"),
+    rel_b=(), f_ob_a=(1,), f_arr_a=(), x_ob_a=(("x", "y"),), x_arr_a=(),
+)
+
+
+def _loops_word(spec):
+    """``"ab"`` is the path a*b; ``"x|ab"`` the term x*a*b (``"x|"`` is x)."""
+    if "|" in spec:
+        tag, letters = spec.split("|")
+        return list_as_term((tag, *letters), LOOPS)
+    return Path(1, tuple(LOOPS.arrow_by_label[l] for l in spec))
+
+
+def _loops_system(*specs):
+    """Rules ``"lhs>rhs"`` in the given order, kept as written."""
+    rules = [tuple(_loops_word(side) for side in spec.split(">")) for spec in specs]
+    return RewriteSystem(tuple(EpsRule(*r) for r in rules if isinstance(r[0], Term)),
+                         tuple(KRule(*r) for r in rules if isinstance(r[0], Path)))
+
+
+TIE_BREAKS = [
+    # an older long lhs containing a newer short one: the leftmost start
+    # wins over the match that ends first
+    (("abc>d", "b>c"), "abc", "d"),
+    (("abc>d", "b>c"), "x|abc", "x|d"),
+    (("abc>d", "b>c"), "dabcb", "ddc"),
+    # two lhs lengths at one start: the shortest wins
+    (("ab>c", "a>d"), "ab", "db"),
+    (("x|ab>y|c", "x|a>y|d"), "x|ab", "y|db"),
+    (("bcd>a", "bc>d"), "x|abcd", "x|add"),
+    # a repeated lhs: the first-added rule wins
+    (("a>b", "a>c"), "a", "b"),
+    (("x|a>y|b", "x|a>y|c"), "x|a", "y|b"),
+    # a term rule whose lhs path is empty
+    (("x|>y|",), "x|ab", "y|ab"),
+    (("x|>y|", "y|a>x|b"), "x|ab", "y|bb"),
+    # term rules before path rules
+    (("a>b", "x|a>y|"), "x|a", "y|"),
+]
+
+
+@pytest.mark.parametrize("rules,word,expected", TIE_BREAKS)
+def test_reduction_tie_breaks(rules, word, expected):
+    system = _loops_system(*rules)
+    w = _loops_word(word)
+    got = reduce_term(w, system) if isinstance(w, Term) else reduce_path(w, system)
+    assert got == _loops_word(expected)
+
+
 def test_presentations_sharing_a_label_reduce_independently():
     # b1 runs 1 -> 2 in one presentation and is a loop at 1 in the other;
     # each system codes its own labels, so neither sees the other's arrow
@@ -404,6 +458,18 @@ def test_interreduce_orbit_rules():
             seen.append(rule)
     reduced = interreduce(RewriteSystem(tuple(seen), ()), order)
     assert sorted(format_rule(r) for r in reduced.rules) == ["w -> v", "x -> v", "z -> y"]
+
+
+@pytest.mark.parametrize("rules,expected", [
+    # a rule's lhs reduces against the others, which include the rules
+    # sharing its lhs (system order recorded before interreduction used
+    # one index per sweep)
+    (("ab>c", "ab>d", "x|a>y|", "x|a>x|"), ["x*a -> x", "y -> x", "d -> c", "a*b -> c"]),
+    (("ab>c", "ab>c", "x|b>y|a", "x|b>y|a"), ["x*b -> y*a", "a*b -> c"]),
+])
+def test_interreduce_rules_sharing_an_lhs(rules, expected):
+    reduced = interreduce(_loops_system(*rules), OrderSpec.from_presentation(LOOPS))
+    assert [format_rule(r) for r in reduced.rules] == expected
 
 
 # --- soundness and confluence properties on random systems ---
