@@ -10,7 +10,6 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from kanbex import (
     OrderSpec,
-    canonical_label_rank,
     complete,
     encode_from_json,
     enumerate_extension,
@@ -30,7 +29,7 @@ def run(descriptor: str):
     subgroup = ["*".join(w) for w in data["subgroup"]]
     print(f"subgroup <{', '.join(subgroup)}>: "
           f"{len(result.system)} rules after {result.passes} passes")
-    for line in format_system(result.system, canonical_label_rank(pres)):
+    for line in format_system(result.system, order):
         print("  " + line)
     tables = enumerate_extension(pres, result.system, limit=50)
     reps = ", ".join(format_term(nf.term) for nf in tables.elements[1])

@@ -14,7 +14,6 @@ from kanbex import (
     OrderSpec,
     Path,
     act,
-    canonical_label_rank,
     complete,
     enumerate_extension,
     format_system,
@@ -31,16 +30,15 @@ DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 def main():
     pres = load_presentation(DATA / "infinite_extension.json")
     order = OrderSpec.from_presentation(pres)
-    rank = canonical_label_rank(pres)
 
     system = initial_rules(pres, order)
     print("initial rules:")
-    for line in format_system(system, rank):
+    for line in format_system(system, order):
         print("  " + line)
 
     result = complete(system, order)
     print(f"\ncompleted in {result.passes} passes, {result.rules_added} rules added:")
-    for line in format_system(result.system, rank):
+    for line in format_system(result.system, order):
         print("  " + line)
 
     tables = enumerate_extension(pres, result.system, limit=1000)

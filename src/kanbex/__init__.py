@@ -16,7 +16,6 @@ from .model import (
     PresentationError,
     Term,
     ValidationReport,
-    canonical_label_rank,
     compose_paths,
     format_path,
     format_term,
@@ -28,7 +27,7 @@ from .model import (
     term_as_list,
     validate_presentation,
 )
-from .ordering import Comparison, OrderSpec, compare_paths, compare_terms, orient_pair
+from .ordering import OrderSpec, orient_pair, path_sort_key, term_sort_key
 from .rewrite import (
     CompletionResult,
     CompletionStatus,

@@ -19,7 +19,6 @@ from .model import (
     CompositionError,
     KanPresentation,
     PresentationError,
-    canonical_label_rank,
     format_term,
     list_as_term,
     load_presentation,
@@ -152,7 +151,7 @@ def _print_system(system: RewriteSystem, pres: KanPresentation, fmt: str,
             payload.update(extra)
         print(json.dumps(payload, indent=2))
     else:
-        for line in format_system(system, canonical_label_rank(pres)):
+        for line in format_system(system, OrderSpec.from_presentation(pres)):
             print(line)
 
 
@@ -164,6 +163,12 @@ def _run_completion(args, pres: KanPresentation, order: OrderSpec) -> Completion
         max_passes=args.max_passes,
         interreduce_after=not args.no_interreduce,
     )
+
+
+def _report_limit(result: CompletionResult) -> int:
+    print(f"completion limit exceeded ({result.reason}) after {result.passes} passes; "
+          f"{len(result.system)} rules so far", file=sys.stderr)
+    return EXIT_LIMIT
 
 
 def _cmd_rules(args) -> int:
@@ -178,9 +183,7 @@ def _cmd_complete(args) -> int:
     order = _order_from_args(args, pres)
     result = _run_completion(args, pres, order)
     if not result.complete:
-        print(f"completion limit exceeded ({result.reason}) after {result.passes} passes; "
-              f"{len(result.system)} rules so far", file=sys.stderr)
-        return EXIT_LIMIT
+        return _report_limit(result)
     extra = {"status": "complete", "passes": result.passes, "rulesAdded": result.rules_added}
     _print_system(result.system, pres, args.format, extra)
     return EXIT_OK
@@ -209,9 +212,7 @@ def _cmd_enumerate(args) -> int:
     limit = _resolve_limit(args)
     result = _run_completion(args, pres, order)
     if not result.complete:
-        print(f"completion limit exceeded ({result.reason}) after {result.passes} passes; "
-              f"{len(result.system)} rules so far", file=sys.stderr)
-        return EXIT_LIMIT
+        return _report_limit(result)
 
     tables = enumerate_extension(pres, result.system, limit=limit, order=order)
     if args.format == "json":

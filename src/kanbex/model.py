@@ -339,19 +339,7 @@ def format_path(p: Path) -> str:
 
 
 def format_term(t: Term) -> str:
-    if t.path.is_identity:
-        return t.tag
-    return t.tag + "*" + "*".join(t.path.labels)
-
-
-def canonical_label_rank(pres: KanPresentation) -> dict[str, int]:
-    """Global print order: arrow labels in declaration order, then element labels."""
-    rank: dict[str, int] = {}
-    for lbl in pres.delta_labels:
-        rank.setdefault(lbl, len(rank))
-    for lbl in pres.x_labels:
-        rank.setdefault(lbl, len(rank))
-    return rank
+    return "*".join(term_as_list(t))
 
 
 # --- JSON input/output ---

@@ -16,7 +16,7 @@ import enum
 import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .model import (
     Arrow,
@@ -27,6 +27,7 @@ from .model import (
     compose_paths,
     format_path,
     format_term,
+    term_as_list,
     validate_presentation,
 )
 from .ordering import OrderSpec, orient_pair, path_sort_key, term_sort_key
@@ -298,7 +299,7 @@ def _splice(p: Path, start: int, length: int, replacement: Path) -> Path:
 
 def _lhs_list(rule: Rule) -> tuple[str, ...]:
     if isinstance(rule, EpsRule):
-        return (rule.lhs.tag,) + rule.lhs.path.labels
+        return tuple(term_as_list(rule.lhs))
     return rule.lhs.labels
 
 
@@ -516,26 +517,19 @@ def format_rule(rule: Rule) -> str:
     return f"{format_path(rule.lhs)} -> {format_path(rule.rhs)}"
 
 
-def sorted_rules(system: RewriteSystem, label_rank: Mapping[str, int]) -> list[Rule]:
-    """Canonical print order: by left-hand-side list, length first, then
-    the given global label ranks (ties broken by the right-hand side)."""
-
-    def rhs_list(rule: Rule) -> tuple[str, ...]:
-        if isinstance(rule, EpsRule):
-            return (rule.rhs.tag,) + rule.rhs.path.labels
-        return rule.rhs.labels
+def sorted_rules(system: RewriteSystem, order: OrderSpec) -> list[Rule]:
+    """Canonical print order: by left-hand-side list length, path rules
+    before term rules at equal length, then by the left-hand side's sort
+    key (ties broken by the right-hand side's)."""
 
     def key(rule: Rule):
-        lhs = _lhs_list(rule)
-        rhs = rhs_list(rule)
-        return (
-            len(lhs), tuple(label_rank[l] for l in lhs),
-            len(rhs), tuple(label_rank[l] for l in rhs),
-        )
+        sort_key = term_sort_key if isinstance(rule, EpsRule) else path_sort_key
+        lhs = sort_key(rule.lhs, order)
+        return (lhs[0], isinstance(rule, EpsRule), lhs, sort_key(rule.rhs, order))
 
     return sorted(system.rules, key=key)
 
 
-def format_system(system: RewriteSystem, label_rank: Mapping[str, int] | None = None) -> list[str]:
-    rules = sorted_rules(system, label_rank) if label_rank is not None else list(system.rules)
+def format_system(system: RewriteSystem, order: OrderSpec | None = None) -> list[str]:
+    rules = sorted_rules(system, order) if order is not None else list(system.rules)
     return [format_rule(r) for r in rules]

@@ -10,8 +10,12 @@ from kanbex import (
     MonoidPresentationDesc,
     OrderSpec,
     Path,
+    Term,
     complete,
     initial_rules,
+    orient_pair,
+    path_sort_key,
+    term_sort_key,
 )
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -37,6 +41,16 @@ def build_demo_presentation() -> KanPresentation:
         x_ob_a=(("x1", "x2", "x3"), ("y1", "y2")),
         x_arr_a=(("y1", "y2", "y1"), ("x1", "x2")),
     )
+
+
+def compare(a, b, order: OrderSpec) -> int:
+    """Sign of ``a`` against ``b`` (1 greater, 0 equal, -1 less) under the
+    sort keys, after checking that ``orient_pair`` orients by that sign."""
+    key = term_sort_key if isinstance(a, Term) else path_sort_key
+    ka, kb = key(a, order), key(b, order)
+    sign = (ka > kb) - (ka < kb)
+    assert orient_pair(a, b, order) == (None if sign == 0 else (a, b) if sign > 0 else (b, a))
+    return sign
 
 
 # the infinite von Dyck group (2,5,4): completion never ends, so runs of

@@ -216,12 +216,36 @@ def test_non_positive_completion_limit_is_usage_error(capsys, data_dir, argv):
     assert err.startswith("kanbex: error: argument --max-") and "must be positive" in err
 
 
+# Listings are sorted in declaration order whatever --xorder/--deltaorder
+# orients the rules by; at equal length path rules come before term rules.
+DEMO_RULES = """\
+x1*b1 -> y1
+x2*b1 -> y2
+x3*b1 -> y1
+b1*b2*b3 -> b4
+y1*b2*b3 -> x1
+y2*b2*b3 -> x2
+"""
+DEMO_COMPLETE = """\
+x1*b1 -> y1
+x1*b4 -> x1
+x2*b1 -> y2
+x2*b4 -> x2
+x3*b1 -> y1
+x3*b4 -> x1
+b1*b2*b3 -> b4
+y1*b2*b3 -> x1
+y2*b2*b3 -> x2
+"""
+
+
 def test_order_flags(capsys, data_dir):
-    code, out, _ = run_cli(capsys, "rules", str(data_dir / "infinite_extension.json"),
-                           "--xorder", "y2,y1,x3,x2,x1")
-    assert code == 0
-    code, _, err = run_cli(capsys, "rules", str(data_dir / "infinite_extension.json"),
-                           "--xorder", "y2,y1")
+    demo = str(data_dir / "infinite_extension.json")
+    reversed_orders = ("--xorder", "y2,y1,x3,x2,x1", "--deltaorder", "b5,b4,b3,b2,b1")
+    for orders in ((), reversed_orders):
+        assert run_cli(capsys, "rules", demo, *orders) == (0, DEMO_RULES, "")
+        assert run_cli(capsys, "complete", demo, *orders) == (0, DEMO_COMPLETE, "")
+    code, _, err = run_cli(capsys, "rules", demo, "--xorder", "y2,y1")
     assert code == 1
 
 
@@ -323,6 +347,7 @@ BUNDLED = [
     (None, "infinite_extension.json"),  # already a presentation
 ]
 DIGESTED_RUNS = [
+    ("complete",),
     ("complete", "--format", "json"),
     ("complete", "--no-interreduce", "--format", "json"),
     ("enumerate", "--format", "json"),

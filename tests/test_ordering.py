@@ -3,17 +3,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kanbex import (
-    Comparison,
     OrderSpec,
     Path,
     Term,
-    compare_paths,
-    compare_terms,
     compose_paths,
     orient_pair,
+    path_sort_key,
+    term_sort_key,
 )
 
-from .conftest import build_demo_presentation
+from .conftest import build_demo_presentation, compare
 
 PRES = build_demo_presentation()
 ORDER = OrderSpec.from_presentation(PRES)
@@ -28,34 +27,48 @@ def P(*labels):
 
 
 def test_longer_path_is_greater():
-    assert compare_paths(P("b1", "b2", "b3"), P("b4"), ORDER) is Comparison.GREATER
+    assert compare(P("b1", "b2", "b3"), P("b4"), ORDER) == 1
+    assert path_sort_key(P("b1", "b2", "b3"), ORDER) > path_sort_key(P("b4"), ORDER)
 
 
 def test_path_reflexive_equal():
     p = P("b1", "b2")
-    assert compare_paths(p, p, ORDER) is Comparison.EQUAL
+    assert compare(p, p, ORDER) == 0
+    assert orient_pair(p, p, ORDER) is None
+
+
+def test_identity_paths_at_different_objects_are_equal():
+    assert compare(Path.identity(1), Path.identity(2), ORDER) == 0
 
 
 def test_equal_length_paths_compare_lexicographically():
-    assert compare_paths(P("b2"), P("b1"), ORDER) is Comparison.GREATER
-    assert compare_paths(P("b1"), P("b2"), ORDER) is Comparison.LESS
+    assert compare(P("b2"), P("b1"), ORDER) == 1
+    assert compare(P("b1"), P("b2"), ORDER) == -1
+    assert compare(P("b1", "b2", "b3"), P("b5", "b3", "b4"), ORDER) == -1
+    # a tie at the first letter falls through to the next
+    assert compare(P("b4", "b1"), P("b4", "b4"), ORDER) == -1
 
 
 def test_longer_term_is_greater():
     t1 = Term("x1", P("b1"))
     t2 = Term("y1", Path.identity(2))
-    assert compare_terms(t1, t2, ORDER) is Comparison.GREATER
+    assert compare(t1, t2, ORDER) == 1
+    assert term_sort_key(t1, ORDER) > term_sort_key(t2, ORDER)
 
 
 def test_term_reflexive_equal():
     t = Term("x1", Path.identity(1))
-    assert compare_terms(t, t, ORDER) is Comparison.EQUAL
+    assert compare(t, t, ORDER) == 0
 
 
 def test_equal_length_terms_compare_by_tag():
     t1 = Term("x3", P("b1"))
     t2 = Term("x1", P("b1"))
-    assert compare_terms(t1, t2, ORDER) is Comparison.GREATER
+    assert compare(t1, t2, ORDER) == 1
+
+
+def test_equal_tags_compare_positionwise():
+    assert compare(Term("x1", P("b1", "b2")), Term("x1", P("b5", "b3")), ORDER) == -1
 
 
 def test_orient_puts_greater_first():
@@ -73,13 +86,18 @@ def test_orient_drops_equal_pairs():
 def test_orient_rejects_mixed_kinds():
     with pytest.raises(TypeError):
         orient_pair(Term("x1", Path.identity(1)), Path.identity(1), ORDER)
+    with pytest.raises(TypeError):
+        orient_pair(Path.identity(1), Term("x1", Path.identity(1)), ORDER)
 
 
 def test_order_overrides_must_be_permutations():
     with pytest.raises(ValueError):
         OrderSpec.from_presentation(PRES, delta_order=["b1", "b2"])
     custom = OrderSpec.from_presentation(PRES, delta_order=["b5", "b4", "b3", "b2", "b1"])
-    assert compare_paths(P("b1"), P("b5"), custom) is Comparison.GREATER
+    assert compare(P("b1"), P("b5"), custom) == 1
+    assert orient_pair(P("b5"), P("b1"), custom) == (P("b1"), P("b5"))
+    xs = OrderSpec.from_presentation(PRES, x_order=["y2", "y1", "x3", "x2", "x1"])
+    assert compare(Term("x1", P("b1")), Term("x3", P("b1")), xs) == 1
 
 
 # --- property tests ---
@@ -108,13 +126,13 @@ def terms(draw_tag, draw_choices):
 @given(tag1=tags, c1=choices, tag2=tags, c2=choices)
 def test_totality_and_antisymmetry(tag1, c1, tag2, c2):
     t1, t2 = terms(tag1, c1), terms(tag2, c2)
-    c12 = compare_terms(t1, t2, ORDER)
-    c21 = compare_terms(t2, t1, ORDER)
+    c12 = compare(t1, t2, ORDER)
+    c21 = compare(t2, t1, ORDER)
     if t1 == t2:
-        assert c12 is Comparison.EQUAL and c21 is Comparison.EQUAL
+        assert c12 == 0 and c21 == 0
     else:
-        assert c12 is not Comparison.EQUAL
-        assert c21 == Comparison(-c12)
+        assert c12 != 0
+        assert c21 == -c12
 
 
 @given(tag1=tags, c1=choices, tag2=tags, c2=choices, ext=choices)
@@ -123,9 +141,9 @@ def test_right_action_admissibility(tag1, c1, tag2, c2, ext):
     if t1.target != t2.target:
         return
     q = _walk(t1.target, ext)
-    c_before = compare_terms(t1, t2, ORDER)
-    c_after = compare_terms(t1.act(q), t2.act(q), ORDER)
-    assert c_after is c_before
+    c_before = compare(t1, t2, ORDER)
+    c_after = compare(t1.act(q), t2.act(q), ORDER)
+    assert c_after == c_before
 
 
 @given(start=st.sampled_from([1, 2, 3]), c1=choices, c2=choices, u=choices, v=choices)
@@ -138,13 +156,13 @@ def test_path_admissibility_under_context(start, c1, c2, u, v):
     if left.target != start:
         return
     right = _walk(p.target, v)
-    c = compare_paths(p, q, ORDER)
-    wrapped = compare_paths(
+    c = compare(p, q, ORDER)
+    wrapped = compare(
         compose_paths(compose_paths(left, p), right),
         compose_paths(compose_paths(left, q), right),
         ORDER,
     )
-    assert wrapped is c
+    assert wrapped == c
 
 
 @given(tag=tags, c1=choices, c2=choices)
@@ -152,32 +170,28 @@ def test_path_comparison_transfers_to_terms(tag, c1, c2):
     src = PRES.tag_source(tag)
     p1, p2 = _walk(src, c1), _walk(src, c2)
     s = Term(tag, Path.identity(src))
-    c = compare_paths(p1, p2, ORDER)
-    if c is Comparison.EQUAL:
+    c = compare(p1, p2, ORDER)
+    if c == 0:
         return
-    assert compare_terms(s.act(p1), s.act(p2), ORDER) is c
+    assert compare(s.act(p1), s.act(p2), ORDER) == c
 
 
 def test_descending_chains_are_bounded():
-    # exhaustive on a small universe: the comparison agrees pairwise with
-    # an integer sort key, so it is a strict total order, and any strictly
+    # exhaustive on a small universe: distinct terms have distinct sort
+    # keys, so the order is a strict total order, and any strictly
     # descending chain from a term of length n visits distinct terms of
     # length <= n and is bounded by their number
     import itertools
-
-    from kanbex.ordering import term_sort_key
 
     from .oracles import all_terms
 
     universe = all_terms(PRES, 3)
     assert len(universe) == len(set(universe))
+    assert len({term_sort_key(t, ORDER) for t in universe}) == len(universe)
     for a, b in itertools.combinations(universe, 2):
-        c = compare_terms(a, b, ORDER)
-        ka, kb = term_sort_key(a, ORDER), term_sort_key(b, ORDER)
-        assert c is not Comparison.EQUAL
-        assert (c is Comparison.GREATER) == (ka > kb)
+        assert compare(a, b, ORDER) != 0
     # length never increases along a descending step
     start = Term("x1", P("b1", "b2"))
-    smaller = [t for t in universe if compare_terms(start, t, ORDER) is Comparison.GREATER]
+    smaller = [t for t in universe if compare(start, t, ORDER) == 1]
     assert all(len(t) <= len(start) for t in smaller)
     assert len(smaller) < len(universe)
