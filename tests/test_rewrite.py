@@ -20,6 +20,7 @@ from kanbex import (
     enumerate_extension,
     find_critical_pairs,
     format_rule,
+    format_system,
     from_category_presentation,
     from_monoid_presentation,
     initial_rules,
@@ -470,6 +471,24 @@ def test_interreduce_orbit_rules():
 def test_interreduce_rules_sharing_an_lhs(rules, expected):
     reduced = interreduce(_loops_system(*rules), OrderSpec.from_presentation(LOOPS))
     assert [format_rule(r) for r in reduced.rules] == expected
+
+
+def test_listing_order():
+    # hand-built and not interreduced, so two rules may share an lhs
+    # (listing recorded with the label-rank print order)
+    system = RewriteSystem(
+        (EpsRule(T("y1", "b2", "b3"), T("x1")), EpsRule(T("x3", "b4"), T("x1")),
+         EpsRule(T("x1", "b1"), T("y2")), EpsRule(T("x1", "b4"), T("x1")),
+         EpsRule(T("x1", "b1"), T("y1"))),
+        (KRule(P("b5", "b3"), P("b4", "b4")), KRule(P("b1", "b2", "b3"), P("b4")),
+         KRule(P("b5", "b3"), P("b4")), KRule(P("b4", "b4"), P("b4"))),
+    )
+    assert format_system(system, ORDER) == [
+        "b4*b4 -> b4", "b5*b3 -> b4", "b5*b3 -> b4*b4",
+        "x1*b1 -> y1", "x1*b1 -> y2", "x1*b4 -> x1", "x3*b4 -> x1",
+        "b1*b2*b3 -> b4", "y1*b2*b3 -> x1",
+    ]
+    assert format_system(system) == [format_rule(r) for r in system.rules]
 
 
 # --- soundness and confluence properties on random systems ---
