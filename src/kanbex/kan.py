@@ -16,7 +16,7 @@ from typing import Mapping
 
 from .model import Arrow, CompositionError, KanPresentation, Path, Term
 from .ordering import OrderSpec
-from .rewrite import RewriteSystem, _reduce_term, check_confluence, reduce_term
+from .rewrite import RewriteSystem, _goto, _reduce_term, check_confluence, reduce_term
 
 DEFAULT_LIMIT = 1000
 
@@ -50,30 +50,18 @@ class KanTables:
         return self.status is EnumerationStatus.FINITE
 
 
-def _extension_reducible(state: tuple, code: int) -> tuple | None:
-    """Advance an irreducible term's trie state by one arrow's code.
+def _extension_reducible(state: list, code: int) -> list | None:
+    """Advance an irreducible term's automaton state by one arrow's code.
 
-    The state is the term's node in its tag's term trie (None once no
-    term lhs has the term's path as a prefix) and the path-trie nodes
-    that the path's suffixes reach, the root for the empty one first.
-    The term was irreducible, so only matches touching the new final
-    arrow are possible: a term rule covering the whole path, or a path
-    rule matching a suffix.  Returns None when the extension is
-    reducible and its state otherwise.
+    The state is the one the rule index reaches after reading the term's
+    tag and path.  The term was irreducible, so a match in the extension
+    ends at the new arrow, and one does exactly when the new state has
+    an output: a system's index holds a right-hand side at every
+    terminal.  Returns None when the extension is reducible and its
+    state otherwise.
     """
-    term, suffixes = state
-    if term is not None:
-        term = term[1].get(code)
-        if term is not None and term[0] is not None:
-            return None
-    reached = [suffixes[0]]
-    for node in suffixes:
-        node = node[1].get(code)
-        if node is not None:
-            if node[0] is not None:
-                return None
-            reached.append(node)
-    return term, tuple(reached)
+    state = state[2].get(code) or _goto(state, code)
+    return None if state[5] is not None else state
 
 
 def enumerate_extension(
@@ -95,12 +83,13 @@ def enumerate_extension(
     if order is None:
         order = OrderSpec.from_presentation(pres)
     idx = system._index
+    root = idx.start()
 
     found: list[Term] = []
     exceeded = False
 
-    # each stage term carries its trie state (see _extension_reducible)
-    stage: list[tuple[Term, tuple]] = []
+    # each stage term carries its automaton state (see _extension_reducible)
+    stage: list[tuple[Term, list]] = []
     for x in sorted(pres.x_labels, key=lambda l: order.x_rank[l]):
         t = Term(x, Path.identity(pres.tag_source(x)))
         if _reduce_term(t, idx) != t:
@@ -109,14 +98,14 @@ def enumerate_extension(
             exceeded = True
             break
         found.append(t)
-        stage.append((t, (idx.terms.get(x), (idx.paths,))))
+        stage.append((t, _goto(root, x)))
 
     arrows_by_src: dict[int, list[tuple[Arrow, int]]] = {}
     for a in sorted(pres.arr_b, key=lambda a: order.delta_rank[a.label]):
         arrows_by_src.setdefault(a.src, []).append((a, idx.encode((a,))[0]))
 
     while stage and not exceeded:
-        next_stage: list[tuple[Term, tuple]] = []
+        next_stage: list[tuple[Term, list]] = []
         for t, state in stage:
             for arrow, code in arrows_by_src.get(t.target, ()):
                 ext_state = _extension_reducible(state, code)

@@ -53,34 +53,42 @@ Rule = EpsRule | KRule
 
 
 class _RuleIndex:
-    """Prefix tries over int-coded left-hand sides.
+    """An Aho-Corasick automaton over int-coded left-hand sides.
 
     Each index interns the arrow labels it meets to small ints: ``codes``
     maps a label to its int and ``arrows`` maps it back.  Labels are
     unique within a presentation, and every index owns its table, so
-    codes never mix presentations.  There is one trie of path rules
-    (``paths``) and one of term rules per tag (``terms``), keyed by the
-    lhs path's codes.  A node is ``[rhs, children]``: ``children`` maps a
-    code to the next node, and ``rhs`` is None unless a left-hand side
-    ends at the node; a path rule's is a code tuple, a term rule's
-    ``(tag, source, codes)``, and a term trie's root holds the rule whose
-    lhs path is empty.  Insertion never overwrites an ``rhs``, so the
-    first-added rule wins for a given left-hand side; reduction applies
-    the leftmost, shortest match, term rules before path rules.
-    ``longest`` bounds the length of a path lhs.  A system's cached index
-    is shared and only read; only ``complete`` and ``interreduce`` change
-    the indexes they build.
+    codes never mix presentations.  One trie holds both kinds of rule: a
+    path rule is keyed by its lhs's codes, a term rule by its tag and
+    then its path's codes.  A tag is its own code, a str, so it never
+    equals an arrow's int and only starts a key.
+
+    A node is ``[rhs, children, delta, depth, fail, out]``.  ``rhs`` is
+    None unless a left-hand side ends at the node; it is ``(source,
+    codes)``, where a term rule's codes start with its tag and ``source``
+    is its path's source.  ``children`` are the trie edges, ``depth`` the
+    length of the node's key, ``fail`` the node of its longest proper
+    suffix in the trie, and ``out`` the node itself if an lhs ends there,
+    else the nearest such node along ``fail``.  ``out`` marks a terminal
+    when the rule is inserted, so ``interreduce`` may clear an ``rhs``
+    for a moment; a lookup then skips that terminal.  ``delta`` memoises
+    transitions on first use (see ``_goto``); an ``add`` that makes a
+    terminal leaves the links ``stale``, and ``start`` relinks.
+    Insertion never overwrites an ``rhs``, so the first-added rule wins
+    for a given left-hand side.  A system's cached index is shared and
+    only read; only ``complete`` and ``interreduce`` change the indexes
+    they build.
     """
 
-    __slots__ = ("codes", "arrows", "terms", "paths", "longest", "_lock")
+    __slots__ = ("codes", "arrows", "root", "stale", "_lock")
 
     def __init__(self, rules: Iterable[Rule] = ()):
         self.codes: dict[str, int] = {}
         self.arrows: list[Arrow] = []
-        self.terms: dict[str, list] = {}
-        self.paths: list = [None, {}]
-        self.longest = 0
-        # a system's index is shared, and encoding interns unseen labels
+        self.root: list = [None, {}, {}, 0, None, None]
+        self.stale = True
+        # a system's index is shared: encoding interns unseen labels, and
+        # the first reductions link the automaton
         self._lock = threading.Lock()
         for r in rules:
             self.add(r)
@@ -105,77 +113,119 @@ class _RuleIndex:
     def node(self, rule: Rule) -> list:
         """The trie node of ``rule``'s left-hand side, made if missing."""
         if isinstance(rule, EpsRule):
-            node = self.terms.setdefault(rule.lhs.tag, [None, {}])
-            key = self.encode(rule.lhs.path.arrows)
+            key = (rule.lhs.tag,) + self.encode(rule.lhs.path.arrows)
         else:
-            node = self.paths
             key = self.encode(rule.lhs.arrows)
-            self.longest = max(self.longest, len(key))
+        node = self.root
         for c in key:
-            node = node[1].setdefault(c, [None, {}])
+            child = node[1].get(c)
+            if child is None:
+                child = node[1][c] = [None, {}, {}, node[3] + 1, None, None]
+            node = child
         return node
 
     def rhs(self, rule: Rule) -> tuple:
         """``rule``'s right-hand side as its trie node holds it."""
         if isinstance(rule, EpsRule):
             r = rule.rhs
-            return (r.tag, r.path.source, self.encode(r.path.arrows))
-        return self.encode(rule.rhs.arrows)
+            return r.path.source, (r.tag,) + self.encode(r.path.arrows)
+        return rule.rhs.source, self.encode(rule.rhs.arrows)
 
     def add(self, rule: Rule) -> None:
         node = self.node(rule)
         if node[0] is None:
             node[0] = self.rhs(rule)
+        # an empty path lhs would match everywhere; it never applies
+        if node[5] is not node and node[3]:
+            node[5] = node
+            self.stale = True
+
+    def start(self) -> list:
+        """The automaton's start state, with its links up to date."""
+        if self.stale:
+            with self._lock:
+                if self.stale:
+                    self._link()
+        return self.root
+
+    def _link(self) -> None:
+        # breadth first, so every suffix is linked before its extensions
+        root = self.root
+        root[2] = dict(root[1])
+        queue = [root]
+        for node in queue:
+            for c, child in node[1].items():
+                child[4] = _goto(node[4], c) if node[3] else root
+                child[2] = dict(child[1])
+                if child[5] is not child:
+                    child[5] = child[4][5]
+                queue.append(child)
+        # published last: readers that see it false find every link set
+        self.stale = False
 
 
-def _rewrite(tag: str | None, source: int, codes: tuple[int, ...],
-             idx: _RuleIndex) -> tuple[str | None, int, tuple[int, ...]]:
-    """Rewrite a coded word until no rule applies; ``tag`` None is a bare
-    path, which only path rules touch.  Each round tries the term rules
-    (shortest first), else applies one path rule at the leftmost position
-    (shortest first): one trie walk per position, stopped at the first
-    node with a right-hand side."""
-    roots = idx.paths[1]
-    longest = idx.longest
-    # no path lhs matches left of ``start``: a path rewrite at i keeps
-    # codes[:i], where none matched, so a new match must reach past i-1
-    start = 0
+def _goto(node: list, code) -> list:
+    """The state after reading ``code`` in ``node``, memoised on ``node``:
+    the child on ``code``, else the transition from the failure state
+    (the root when no state on the failure chain has one)."""
+    nxt = node[2].get(code)
+    if nxt is None:
+        state = node
+        while nxt is None and state[3]:
+            state = state[4]
+            nxt = state[2].get(code)
+        node[2][code] = nxt = nxt or state
+    return nxt
+
+
+def _rewrite(source: int, word: tuple, idx: _RuleIndex) -> tuple[int, list]:
+    """Rewrite a coded word until no rule applies; a term's word starts
+    with its tag.  Each round applies the match with the leftmost start,
+    the shortest at that start, so term rules (which start at the tag)
+    come first.  One left-to-right scan keeps ``states[k]``, the state
+    after ``word[:k]``; at each position the longest match ending there
+    has the earliest start of those ending there.  The scan reads on
+    only while a live prefix started left of the best start so far, and
+    after a rewrite resumes from the state at the match's start."""
+    word = list(word)
+    states = [idx.start()]
+    push = states.append
+    s = states[0]
+    k = 0
+    n = len(word)
+    best = n + 1  # start of the leftmost match so far; past the end: none
     while True:
-        node = idx.terms.get(tag)
-        if node is not None:
-            n = len(codes)
-            L = 0
-            while node is not None and node[0] is None and L < n:
-                node = node[1].get(codes[L])
-                L += 1
-            if node is not None and node[0] is not None:
-                tag, source, head = node[0]
-                codes = head + codes[L:]
-                start = 0
-                continue
-        n = len(codes)
-        for i in range(start, n):
-            node = roots.get(codes[i])
-            j = i + 1
-            while node is not None and node[0] is None and j < n:
-                node = node[1].get(codes[j])
-                j += 1
-            if node is not None and node[0] is not None:
-                codes = codes[:i] + node[0] + codes[j:]
-                start = max(0, i - longest + 1)
-                break
-        else:
-            return tag, source, codes
+        while k < n and k - s[3] < best:
+            c = word[k]
+            s = s[2].get(c) or _goto(s, c)
+            k += 1
+            push(s)
+            m = s[5]
+            if m is not None:
+                while m is not None and m[0] is None:
+                    m = m[4][5]
+                if m is not None and k - m[3] < best:
+                    best, end, rhs = k - m[3], k, m[0]
+        if best > n:
+            return source, word
+        if not best:
+            source = rhs[0]
+        word[best:end] = rhs[1]
+        del states[best + 1:]
+        s = states[best]
+        k = best
+        n = len(word)
+        best = n + 1
 
 
 def _reduce_term(t: Term, idx: _RuleIndex) -> Term:
-    tag, source, codes = _rewrite(t.tag, t.path.source, idx.encode(t.path.arrows), idx)
-    return Term(tag, idx.decode(source, codes))
+    source, word = _rewrite(t.path.source, (t.tag,) + idx.encode(t.path.arrows), idx)
+    return Term(word[0], idx.decode(source, word[1:]))
 
 
 def _reduce_path(p: Path, idx: _RuleIndex) -> Path:
-    _, _, codes = _rewrite(None, p.source, idx.encode(p.arrows), idx)
-    return idx.decode(p.source, codes)
+    source, word = _rewrite(p.source, idx.encode(p.arrows), idx)
+    return idx.decode(source, word)
 
 
 @dataclass(frozen=True)
@@ -414,6 +464,9 @@ def complete(
     def freeze() -> RewriteSystem:
         return RewriteSystem(tuple(term_rules), tuple(path_rules))
 
+    # holds the current rules: a term lhs never equals a path lhs, and
+    # each kind keeps its order, so first-added still wins per lhs
+    idx = _RuleIndex(system.rules)
     while True:
         if passes >= max_passes:
             return CompletionResult(
@@ -425,7 +478,6 @@ def complete(
         current = freeze()
         pairs = find_critical_pairs(current)
         pairs.sort(key=lambda cp: _pair_sort_key(cp, order))
-        idx = _RuleIndex(current.rules)
         grew = False
         for cp in pairs:
             reduce = _reduce_term if cp.is_term_pair else _reduce_path

@@ -64,6 +64,17 @@ VON_DYCK = MonoidPresentationDesc(("a", "b", "B"), (
 ))
 
 
+def coxeter(n: int) -> MonoidPresentationDesc:
+    """The Coxeter presentation of S_n: generators s1..s(n-1), s_i^2 = 1,
+    braids between neighbours and commutations between the others."""
+    gens = tuple(f"s{i}" for i in range(1, n))
+    rels = [((s, s), ()) for s in gens]
+    rels += [((a, b, a), (b, a, b)) for a, b in zip(gens, gens[1:])]
+    rels += [((gens[j], gens[i]), (gens[i], gens[j]))
+             for i in range(len(gens)) for j in range(i + 2, len(gens))]
+    return MonoidPresentationDesc(gens, tuple(rels))
+
+
 @pytest.fixture(scope="session")
 def demo_pres() -> KanPresentation:
     return build_demo_presentation()

@@ -1,9 +1,11 @@
 """Independent brute-force oracles the tests check the engine against.
 
-Nothing here reuses the engine's reduction strategy: rewriting is fully
-nondeterministic (every rule at every position), equivalence is computed
-by undirected closure over a bounded universe, and overlaps are found by
-sliding one left-hand side across the other.
+Nothing here reuses the engine's code.  Rewriting is fully
+nondeterministic (every rule at every position), except in
+``reference_reduce``, which restates the engine's documented strategy on
+slices; equivalence is computed by undirected closure over a bounded
+universe, and overlaps are found by sliding one left-hand side across
+the other.
 """
 
 from __future__ import annotations
@@ -101,6 +103,42 @@ def brute_normal_form(t: Term, system: RewriteSystem) -> Term:
     irreducible = {s for s in reachable(t, system) if not one_step_all(s, system)}
     assert len(irreducible) == 1, f"non-unique normal forms: {irreducible}"
     return irreducible.pop()
+
+
+def reference_reduce(word: Term | Path, system: RewriteSystem) -> Term | Path:
+    """Reduce by the documented strategy, trying every rule at every
+    position on slices.  Each round applies the occurrence of a left-hand
+    side that starts leftmost (a term rule's starts at the tag, left of
+    every arrow), the shortest at that start, and for one left-hand side
+    the rule listed first in ``system.rules``.  A bare path sees only the
+    path rules, and a path rule with an empty left-hand side never
+    applies."""
+    rules = system.rules
+    while True:
+        tag = word.tag if isinstance(word, Term) else None
+        path = word.path if tag is not None else word
+        arrows = path.arrows
+        best = None
+        for k, rule in enumerate(rules):
+            if isinstance(rule, EpsRule):
+                l = rule.lhs.path.arrows
+                starts = [0] if rule.lhs.tag == tag and arrows[: len(l)] == l else []
+            else:
+                l = rule.lhs.arrows
+                starts = [i + 1 for i in range(len(arrows) - len(l) + 1)
+                          if l and arrows[i : i + len(l)] == l]
+            for start in starts:
+                if best is None or (start, len(l)) < best[:2]:
+                    best = (start, len(l), rule)
+        if best is None:
+            return word
+        start, n, rule = best
+        if start == 0:
+            rest = rule.rhs.path.arrows + arrows[n:]
+            word = Term(rule.rhs.tag, Path(rule.rhs.path.source, rest))
+        else:
+            rest = arrows[: start - 1] + rule.rhs.arrows + arrows[start - 1 + n :]
+            word = Term(tag, Path(path.source, rest)) if tag is not None else Path(path.source, rest)
 
 
 # --- bounded universes ---

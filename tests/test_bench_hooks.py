@@ -3,16 +3,34 @@ attributes: it stamps calls to some (``run.CHECKPOINTS``), times others
 (``spans.LAYER_CALLS``) and counts a few (``spans.COUNTED_CALLS``).  A
 checkpoint that no longer exists is skipped without an error, and the
 benchmark then only reads slower.  These tests load the benchmark's
-tables, without running it, and check that every name resolves."""
+tables, without running it, and check that every name resolves; the
+others check that the engine still calls the stamped and counted
+functions where the benchmark expects it to."""
 
 import importlib
 import importlib.util
+import json
 import pathlib
 import sys
 
 import pytest
 
-from .conftest import REPO
+from kanbex import (
+    OrderSpec,
+    check_confluence,
+    complete,
+    enumerate_extension,
+    from_monoid_presentation,
+    initial_rules,
+    interreduce,
+    kan,
+    load_presentation,
+    rewrite,
+)
+from kanbex.encodings import encode_from_json
+
+from .conftest import DATA, REPO, coxeter
+from .test_cli import BUNDLED
 
 BENCH = REPO / "kanbench"
 
@@ -60,3 +78,77 @@ def test_layer_calls_resolve(bench):
 def test_counted_calls_resolve(bench):
     assert bench.spans.COUNTED_CALLS
     assert _missing((m, a) for m, a, _ in bench.spans.COUNTED_CALLS) == []
+
+
+
+def _log_calls(monkeypatch, calls: list, module, attr) -> None:
+    """Replace ``module.attr`` by a wrapper that appends ``attr`` to
+    ``calls`` and calls through, as the benchmark's own wrappers do."""
+    fn = getattr(module, attr)
+
+    def logged(*args, **kwargs):
+        calls.append(attr)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, logged)
+
+
+def _bundled(family, name):
+    if family is None:
+        return load_presentation(str(DATA / name))
+    return encode_from_json(family, json.loads((DATA / name).read_text()))
+
+
+def test_reductions_call_the_stamped_functions(monkeypatch):
+    # the benchmark stamps calls to these two module attributes to split
+    # an operation into segments; a reduction that bypassed them would
+    # go unstamped
+    calls = []
+    _log_calls(monkeypatch, calls, rewrite, "_reduce_path")
+    _log_calls(monkeypatch, calls, rewrite, "_reduce_term")
+    pres = _bundled("cosets", "cosets_csq.json")  # term and path rules
+    order = OrderSpec.from_presentation(pres)
+    steps = {}
+    raw = complete(initial_rules(pres, order), order, interreduce_after=False).system
+    steps["complete"] = set(calls)
+    calls.clear()
+    system = interreduce(raw, order)
+    steps["interreduce"] = set(calls)
+    calls.clear()
+    assert check_confluence(system)
+    steps["check_confluence"] = set(calls)
+    calls.clear()
+    enumerate_extension(pres, system)
+    steps["enumerate_extension"] = set(calls)
+    assert steps == dict.fromkeys(steps, {"_reduce_path", "_reduce_term"})
+
+
+# one-arrow extensions tried while enumerating each problem, and the
+# normal forms found (recorded before the rule index became an automaton)
+CANDIDATES = {
+    "coxeter4": (72, 24),
+    "s3_cayley_groupoid.json": (72, 36),
+    "infinite_category.json": (1162, 1000),
+    "cosets_b.json": (6, 2),
+    "cosets_csq.json": (12, 4),
+    "s3_orbits.json": (0, 2),
+    "quaternion_conjugacy.json": (0, 5),
+    "coequaliser.json": (0, 3),
+    "infinite_extension.json": (1092, 1000),
+}
+
+
+def test_each_candidate_calls_extension_reducible(monkeypatch):
+    # the benchmark's kan.candidates counts these calls
+    calls = []
+    _log_calls(monkeypatch, calls, kan, "_extension_reducible")
+    problems = [("coxeter4", from_monoid_presentation(coxeter(4)))]
+    problems += [(name, _bundled(family, name)) for family, name in BUNDLED]
+    got = {}
+    for name, pres in problems:
+        order = OrderSpec.from_presentation(pres)
+        result = complete(initial_rules(pres, order), order)
+        calls.clear()
+        total = enumerate_extension(pres, result.system).total
+        got[name] = (len(calls), total)
+    assert got == CANDIDATES

@@ -26,13 +26,14 @@ from kanbex import (
     initial_rules,
     interreduce,
     list_as_term,
+    orient_pair,
     reduce_path,
     reduce_term,
     resolves,
 )
 from kanbex.encodings import CosetSystemDesc, from_coset_system
 
-from .conftest import VON_DYCK, build_demo_presentation
+from .conftest import VON_DYCK, build_demo_presentation, coxeter
 from .oracles import (
     alignment_critical_pairs,
     brute_normal_form,
@@ -40,6 +41,7 @@ from .oracles import (
     closure_partition,
     random_presentation,
     random_term,
+    reference_reduce,
 )
 
 PRES = build_demo_presentation()
@@ -357,6 +359,71 @@ def test_reduction_tie_breaks(rules, word, expected):
     assert got == _loops_word(expected)
 
 
+def _random_loops_spec(rng, tagged, shortest):
+    word = "".join(rng.choices("abc", k=rng.randint(shortest, 3)))
+    return rng.choice("xy") + "|" + word if tagged else word
+
+
+def _random_loops_rules(rng):
+    """Oriented, not interreduced rules over LOOPS, a few letters long, so
+    left-hand sides nest and repeat; about one in four starts from an
+    earlier rule's lhs (or a factor of it)."""
+    order = OrderSpec.from_presentation(LOOPS)
+    rules = []
+    for _ in range(rng.randint(1, 7)):
+        tagged = rng.random() < 0.4
+        lhs = _random_loops_spec(rng, tagged, 0 if tagged else 1)
+        if rules and rng.random() < 0.25:
+            lhs = rng.choice(rules)[0]
+            tagged = "|" in lhs
+            if not tagged and len(lhs) > 1:
+                i = rng.randrange(len(lhs))
+                lhs = lhs[i : rng.randint(i + 1, len(lhs))]
+        pair = orient_pair(_loops_word(lhs), _loops_word(_random_loops_spec(rng, tagged, 0)), order)
+        if pair is not None:
+            rules.append((lhs, pair))
+    return [EpsRule(*p) if isinstance(p[0], Term) else KRule(*p) for _, p in rules]
+
+
+def _lhs_word(rule):
+    lhs = rule.lhs
+    return (lhs.tag,) + lhs.path.labels if isinstance(lhs, Term) else lhs.labels
+
+
+def test_reduction_follows_the_reference_strategy():
+    # Both sides of a rule come from one small alphabet, so the systems
+    # have what completion never leaves: nested and repeated lhs, term
+    # rules with an empty path, and an lhs starting earlier and ending
+    # later than one it contains.  The corpus must hold each of them.
+    rng = random.Random(5)
+    seen = {"nested": 0, "repeated": 0, "empty path": 0, "earlier start, later end": 0}
+    for _ in range(400):
+        rules = _random_loops_rules(rng)
+        if not rules:
+            continue
+        system = RewriteSystem(tuple(r for r in rules if isinstance(r, EpsRule)),
+                               tuple(r for r in rules if isinstance(r, KRule)))
+        lhss = [_lhs_word(r) for r in system.rules]
+        for u in lhss:
+            for v in lhss:
+                inner = [i for i in range(len(u) - len(v) + 1) if u[i : i + len(v)] == v]
+                seen["repeated"] += u is not v and u == v
+                seen["nested"] += len(v) < len(u) and bool(inner)
+                seen["earlier start, later end"] += any(0 < i < len(u) - len(v) for i in inner)
+        seen["empty path"] += sum(len(l) == 1 and l[0] in "xy" for l in lhss)
+        for _ in range(12):
+            # words built from left-hand sides, so that rules apply
+            pieces = [rng.choice(lhss) for _ in range(rng.randint(0, 3))]
+            pieces += [rng.choices("abcd", k=rng.randint(0, 2))]
+            rng.shuffle(pieces)
+            letters = "".join(c for piece in pieces for c in piece if c not in "xy")
+            path = _loops_word(letters) if letters else Path(1)
+            term = Term(rng.choice("xy"), path)
+            assert reduce_term(term, system) == reference_reduce(term, system)
+            assert reduce_path(path, system) == reference_reduce(path, system)
+    assert min(seen.values()) >= 15, seen
+
+
 def test_presentations_sharing_a_label_reduce_independently():
     # b1 runs 1 -> 2 in one presentation and is a loop at 1 in the other;
     # each system codes its own labels, so neither sees the other's arrow
@@ -386,35 +453,47 @@ def test_presentations_sharing_a_label_reduce_independently():
 
 
 def test_threads_sharing_a_system_reduce_correctly():
-    # a system's index is shared, and reducing a term interns the labels
-    # no rule mentions; threads doing so at once must not mix codes
+    # a system's index is shared: reducing a term interns the labels no
+    # rule mentions, and the first reductions link the automaton and
+    # memoise its transitions; threads doing so at once must not mix
+    # codes, read a half-linked automaton or lose a transition
     gens = ("a",) + tuple(f"g{k}" for k in range(1024))
     pres = from_monoid_presentation(MonoidPresentationDesc(gens, ((("a", "a"), ()),)))
     rules = initial_rules(pres)
-    failures = []
+    s4 = from_monoid_presentation(coxeter(4))
+    s4_order = OrderSpec.from_presentation(s4)
+    s4_rules = complete(initial_rules(s4, s4_order), s4_order).system
+    rng = random.Random(4)
+    words = [list_as_term(("e", *rng.choices(("s1", "s2", "s3"), k=12)), s4) for _ in range(64)]
+    expected = [reduce_term(w, s4_rules) for w in words]
 
-    def work(system, labels, start):
+    def work(system, s4_system, labels, start, outcomes):
+        start.wait(timeout=30)
+        got = [reduce_term(w, s4_system) for w in words]
         start.wait(timeout=30)
         nf = reduce_term(list_as_term(("e", *labels, "a", "a", *labels), pres), system)
-        if nf != list_as_term(("e", *labels, *labels), pres):
-            failures.append(nf)
+        outcomes.append(got == expected and nf == list_as_term(("e", *labels, *labels), pres))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
-            system = RewriteSystem(rules.term_rules, rules.path_rules)  # a fresh index
+            # fresh systems, so fresh indexes
+            system = RewriteSystem(rules.term_rules, rules.path_rules)
+            s4_system = RewriteSystem(s4_rules.term_rules, s4_rules.path_rules)
             start = threading.Barrier(4)
-            threads = [threading.Thread(target=work, args=(system, gens[1 + k :: 4], start))
+            outcomes = []  # one per thread that ran to the end
+            threads = [threading.Thread(target=work, args=(system, s4_system, gens[1 + k :: 4],
+                                                           start, outcomes))
                        for k in range(4)]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join(timeout=30)
             assert not any(t.is_alive() for t in threads)
+            assert outcomes == [True] * 4
     finally:
         sys.setswitchinterval(interval)
-    assert failures == []
 
 
 # --- interreduction ---
@@ -469,6 +548,19 @@ def test_interreduce_orbit_rules():
     (("ab>c", "ab>c", "x|b>y|a", "x|b>y|a"), ["x*b -> y*a", "a*b -> c"]),
 ])
 def test_interreduce_rules_sharing_an_lhs(rules, expected):
+    reduced = interreduce(_loops_system(*rules), OrderSpec.from_presentation(LOOPS))
+    assert [format_rule(r) for r in reduced.rules] == expected
+
+
+@pytest.mark.parametrize("rules,expected", [
+    (("b>a", "cb>d"), ["b -> a", "c*a -> d"]),
+    (("x|>y|", "x|a>x|b"), ["x -> y", "y*b -> y*a"]),
+])
+def test_interreduce_reduces_by_the_first_rule(rules, expected):
+    # a sweep's index is linked while the first rule's rhs is held back,
+    # so that its lhs reduces against the other rules only; the other
+    # rules must still be reduced by it (recorded before the rule index
+    # became an automaton)
     reduced = interreduce(_loops_system(*rules), OrderSpec.from_presentation(LOOPS))
     assert [format_rule(r) for r in reduced.rules] == expected
 
