@@ -83,8 +83,6 @@ def _add_common(sp) -> None:
 def _add_limits(sp) -> None:
     sp.add_argument("--max-rules", type=_positive_int, default=10000)
     sp.add_argument("--max-passes", type=_positive_int, default=100)
-    sp.add_argument("--max-rule-length", type=_positive_int, default=None,
-                    help="stop when a new left-hand side is longer (tag counted)")
     sp.add_argument("--no-interreduce", action="store_true",
                     help="leave the completed system un-normalized")
 
@@ -163,7 +161,6 @@ def _run_completion(args, pres: KanPresentation, order: OrderSpec) -> Completion
         system, order,
         max_rules=args.max_rules,
         max_passes=args.max_passes,
-        max_rule_length=args.max_rule_length,
         interreduce_after=not args.no_interreduce,
     )
 

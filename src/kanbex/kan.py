@@ -83,7 +83,7 @@ def enumerate_extension(
     if order is None:
         order = OrderSpec.from_presentation(pres)
     idx = system._index
-    root = idx.start()
+    root = idx.root
 
     found: list[Term] = []
     exceeded = False

@@ -69,29 +69,28 @@ class _RuleIndex:
     is its path's source.  ``children`` are the trie edges, ``depth`` the
     length of the node's key, ``fail`` the node of its longest proper
     suffix in the trie, and ``out`` the node itself if an lhs ends there,
-    else the nearest such node along ``fail``.  ``out`` marks a terminal
-    when the rule is inserted, so ``interreduce`` may clear an ``rhs``
-    for a moment; a lookup then skips that terminal.  ``delta`` memoises
-    transitions on first use (see ``_goto``); an ``add`` that makes a
-    terminal leaves the links ``stale``, and ``start`` relinks.
+    else the nearest such node along ``fail``.  ``delta`` memoises
+    transitions on first use (see ``_goto``).  The links are built once
+    the initial rules are in, and again after each ``add`` that makes a
+    terminal.  ``interreduce`` may clear an ``rhs`` for a moment; a
+    lookup then skips that terminal.
     Insertion never overwrites an ``rhs``, so the first-added rule wins
     for a given left-hand side.  A system's cached index is shared and
     only read; only ``complete`` and ``interreduce`` change the indexes
     they build.
     """
 
-    __slots__ = ("codes", "arrows", "root", "stale", "_lock")
+    __slots__ = ("codes", "arrows", "root", "_lock")
 
     def __init__(self, rules: Iterable[Rule] = ()):
         self.codes: dict[str, int] = {}
         self.arrows: list[Arrow] = []
         self.root: list = [None, {}, {}, 0, None, None]
-        self.stale = True
-        # a system's index is shared: encoding interns unseen labels, and
-        # the first reductions link the automaton
+        # a system's index is shared, and encoding interns unseen labels
         self._lock = threading.Lock()
         for r in rules:
-            self.add(r)
+            self._insert(r)
+        self._link()
 
     def encode(self, arrows: tuple[Arrow, ...]) -> tuple[int, ...]:
         codes = self.codes
@@ -132,21 +131,16 @@ class _RuleIndex:
         return rule.rhs.source, self.encode(rule.rhs.arrows)
 
     def add(self, rule: Rule) -> None:
-        node = self.node(rule)
-        if node[0] is None:
-            node[0] = self.rhs(rule)
-        # an empty path lhs would match everywhere; it never applies
-        if node[5] is not node and node[3]:
-            node[5] = node
-            self.stale = True
+        if self._insert(rule):
+            self._link()
 
-    def start(self) -> list:
-        """The automaton's start state, with its links up to date."""
-        if self.stale:
-            with self._lock:
-                if self.stale:
-                    self._link()
-        return self.root
+    def _insert(self, rule: Rule) -> bool:
+        """Insert ``rule``; True if its left-hand side became a terminal."""
+        node = self.node(rule)
+        if node[0] is not None:
+            return False
+        node[0] = self.rhs(rule)
+        return True
 
     def _link(self) -> None:
         # breadth first, so every suffix is linked before its extensions
@@ -157,11 +151,10 @@ class _RuleIndex:
             for c, child in node[1].items():
                 child[4] = _goto(node[4], c) if node[3] else root
                 child[2] = dict(child[1])
-                if child[5] is not child:
-                    child[5] = child[4][5]
+                # the root is never an output: an empty path lhs would
+                # match everywhere, and it never applies
+                child[5] = child if child[0] is not None else child[4][5]
                 queue.append(child)
-        # published last: readers that see it false find every link set
-        self.stale = False
 
 
 def _goto(node: list, code) -> list:
@@ -188,7 +181,7 @@ def _rewrite(source: int, word: tuple, idx: _RuleIndex) -> tuple[int, list]:
     only while a live prefix started left of the best start so far, and
     after a rewrite resumes from the state at the match's start."""
     word = list(word)
-    states = [idx.start()]
+    states = [idx.root]
     push = states.append
     s = states[0]
     k = 0

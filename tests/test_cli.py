@@ -209,9 +209,6 @@ def test_bad_flag_is_usage_error(capsys, data_dir):
     ("enumerate", "--max-rules", "-1"),
     ("reduce", "--max-rules", "-1", "--term", "x1"),
     ("reduce", "--max-passes", "0", "--term", "x1"),
-    ("complete", "--max-rule-length", "0"),
-    ("enumerate", "--max-rule-length", "-2"),
-    ("reduce", "--max-rule-length", "0", "--term", "x1"),
 ])
 def test_non_positive_completion_limit_is_usage_error(capsys, data_dir, argv):
     code, out, err = run_cli(capsys, *argv, str(data_dir / "infinite_extension.json"))
@@ -281,21 +278,6 @@ def test_budgeted_von_dyck_enumerate_stops_at_the_pass_limit(capsys, tmp_path):
         2, "",
         "completion limit exceeded (pass limit 4 reached) after 4 passes; 19 rules so far\n",
     )
-
-
-STOPPED_AT_LENGTH_8 = "completion limit exceeded (rule length limit 8 exceeded)"
-
-
-@pytest.mark.parametrize("argv,stderr", [
-    (("complete",), f"{STOPPED_AT_LENGTH_8} after 5 passes; 19 rules so far\n"),
-    (("enumerate",), f"{STOPPED_AT_LENGTH_8} after 5 passes; 19 rules so far\n"),
-    (("reduce", "--term", "e*a*b"), f"{STOPPED_AT_LENGTH_8}; cannot compute normal forms\n"),
-])
-def test_max_rule_length_stops_von_dyck(capsys, tmp_path, argv, stderr):
-    # passes and rules as the library reported them before the flag existed
-    f = tmp_path / "vondyck.json"
-    f.write_text(json.dumps(presentation_to_json(from_monoid_presentation(VON_DYCK))))
-    assert run_cli(capsys, *argv, "--max-rule-length", "8", str(f)) == (2, "", stderr)
 
 
 COSETS_CSQ_ENUMERATION = {

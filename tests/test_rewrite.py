@@ -453,10 +453,10 @@ def test_presentations_sharing_a_label_reduce_independently():
 
 
 def test_threads_sharing_a_system_reduce_correctly():
-    # a system's index is shared: reducing a term interns the labels no
-    # rule mentions, and the first reductions link the automaton and
-    # memoise its transitions; threads doing so at once must not mix
-    # codes, read a half-linked automaton or lose a transition
+    # a system's index is shared: the first reduction builds it, reducing
+    # a term interns the labels no rule mentions, and reductions memoise
+    # the automaton's transitions; threads doing so at once must not mix
+    # codes, read a half-built automaton or lose a transition
     gens = ("a",) + tuple(f"g{k}" for k in range(1024))
     pres = from_monoid_presentation(MonoidPresentationDesc(gens, ((("a", "a"), ()),)))
     rules = initial_rules(pres)
@@ -557,10 +557,10 @@ def test_interreduce_rules_sharing_an_lhs(rules, expected):
     (("x|>y|", "x|a>x|b"), ["x -> y", "y*b -> y*a"]),
 ])
 def test_interreduce_reduces_by_the_first_rule(rules, expected):
-    # a sweep's index is linked while the first rule's rhs is held back,
-    # so that its lhs reduces against the other rules only; the other
-    # rules must still be reduced by it (recorded before the rule index
-    # became an automaton)
+    # the first rule's rhs is held back in the sweep's index while its
+    # lhs is reduced, so that the lhs reduces against the other rules
+    # only; the other rules must still be reduced by it (recorded before
+    # the rule index became an automaton)
     reduced = interreduce(_loops_system(*rules), OrderSpec.from_presentation(LOOPS))
     assert [format_rule(r) for r in reduced.rules] == expected
 
