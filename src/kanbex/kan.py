@@ -92,7 +92,8 @@ def enumerate_extension(
     stage: list[tuple[Term, list]] = []
     for x in sorted(pres.x_labels, key=lambda l: order.x_rank[l]):
         t = Term(x, Path.identity(pres.tag_source(x)))
-        if _reduce_term(t, idx) != t:
+        side = idx.encode(t)
+        if _reduce_term(side, idx) != side:
             continue
         if len(found) >= limit:
             exceeded = True
@@ -102,7 +103,7 @@ def enumerate_extension(
 
     arrows_by_src: dict[int, list[tuple[Arrow, int]]] = {}
     for a in sorted(pres.arr_b, key=lambda a: order.delta_rank[a.label]):
-        arrows_by_src.setdefault(a.src, []).append((a, idx.encode((a,))[0]))
+        arrows_by_src.setdefault(a.src, []).append((a, idx.intern((a,))[0]))
 
     while stage and not exceeded:
         next_stage: list[tuple[Term, list]] = []

@@ -6,8 +6,10 @@ linear order on element labels, then positionwise on arrows.  Both
 default orders are declaration order in the presentation, so the
 comparison is deterministic and user-controllable without code changes.
 
-The sort keys are the order's only encoding: two paths (or two terms)
-compare as their keys do, and equal keys mean equal label lists.
+The sort keys encode the order on ``Path`` and ``Term`` values: two
+paths (or two terms) compare as their keys do, and equal keys mean equal
+label lists.  Completion compares int-coded words instead, with codes
+interned in rank order (``rewrite._key``), which orders them the same.
 """
 
 from __future__ import annotations

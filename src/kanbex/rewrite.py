@@ -24,10 +24,8 @@ from .model import (
     Path,
     PresentationError,
     Term,
-    compose_paths,
     format_path,
     format_term,
-    term_as_list,
     validate_presentation,
 )
 from .ordering import OrderSpec, orient_pair, path_sort_key, term_sort_key
@@ -58,21 +56,22 @@ class _RuleIndex:
     Each index interns the arrow labels it meets to small ints: ``codes``
     maps a label to its int and ``arrows`` maps it back.  Labels are
     unique within a presentation, and every index owns its table, so
-    codes never mix presentations.  One trie holds both kinds of rule: a
-    path rule is keyed by its lhs's codes, a term rule by its tag and
-    then its path's codes.  A tag is its own code, a str, so it never
-    equals an arrow's int and only starts a key.
+    codes never mix presentations.  A path is coded as ``(source,
+    word)``, its word being its arrows' codes; a term's word starts with
+    its tag, a str, so a tag never equals an arrow's int and only starts
+    a word.  A rule is coded as its two sides, ``(lhs source, lhs word,
+    rhs source, rhs word)``.  One trie holds both kinds of rule, keyed by
+    the lhs word.
 
     A node is ``[rhs, children, delta, depth, fail, out]``.  ``rhs`` is
-    None unless a left-hand side ends at the node; it is ``(source,
-    codes)``, where a term rule's codes start with its tag and ``source``
-    is its path's source.  ``children`` are the trie edges, ``depth`` the
-    length of the node's key, ``fail`` the node of its longest proper
-    suffix in the trie, and ``out`` the node itself if an lhs ends there,
-    else the nearest such node along ``fail``.  ``delta`` memoises
-    transitions on first use (see ``_goto``).  The links are built once
-    the initial rules are in, and again after each ``add`` that makes a
-    terminal.  ``interreduce`` may clear an ``rhs`` for a moment; a
+    None unless a left-hand side ends at the node; it is the rule's
+    coded right-hand side ``(source, word)``.  ``children`` are the trie
+    edges, ``depth`` the length of the node's key, ``fail`` the node of
+    its longest proper suffix in the trie, and ``out`` the node itself if
+    an lhs ends there, else the nearest such node along ``fail``.
+    ``delta`` memoises transitions on first use (see ``_goto``).  The
+    links are built by ``reset`` and again after each ``add`` that makes
+    a terminal.  ``interreduce`` may clear an ``rhs`` for a moment; a
     lookup then skips that terminal.
     Insertion never overwrites an ``rhs``, so the first-added rule wins
     for a given left-hand side.  A system's cached index is shared and
@@ -85,14 +84,11 @@ class _RuleIndex:
     def __init__(self, rules: Iterable[Rule] = ()):
         self.codes: dict[str, int] = {}
         self.arrows: list[Arrow] = []
-        self.root: list = [None, {}, {}, 0, None, None]
         # a system's index is shared, and encoding interns unseen labels
         self._lock = threading.Lock()
-        for r in rules:
-            self._insert(r)
-        self._link()
+        self.reset([self.code(r) for r in rules])
 
-    def encode(self, arrows: tuple[Arrow, ...]) -> tuple[int, ...]:
+    def intern(self, arrows: tuple[Arrow, ...]) -> tuple[int, ...]:
         codes = self.codes
         try:
             return tuple([codes[a.label] for a in arrows])
@@ -105,41 +101,51 @@ class _RuleIndex:
                         codes[a.label] = len(self.arrows) - 1
             return tuple([codes[a.label] for a in arrows])
 
-    def decode(self, source: int, codes: tuple[int, ...]) -> Path:
-        arrows = self.arrows
-        return Path(source, tuple([arrows[c] for c in codes]))
+    def encode(self, x: Term | Path) -> tuple:
+        if isinstance(x, Term):
+            return x.path.source, (x.tag,) + self.intern(x.path.arrows)
+        return x.source, self.intern(x.arrows)
 
-    def node(self, rule: Rule) -> list:
-        """The trie node of ``rule``'s left-hand side, made if missing."""
-        if isinstance(rule, EpsRule):
-            key = (rule.lhs.tag,) + self.encode(rule.lhs.path.arrows)
-        else:
-            key = self.encode(rule.lhs.arrows)
+    def decode(self, source: int, word: tuple) -> Term | Path:
+        arrows = self.arrows
+        if _is_term(word):
+            return Term(word[0], Path(source, tuple([arrows[c] for c in word[1:]])))
+        return Path(source, tuple([arrows[c] for c in word]))
+
+    def code(self, rule: Rule) -> tuple:
+        return self.encode(rule.lhs) + self.encode(rule.rhs)
+
+    def rule(self, coded: tuple) -> Rule:
+        lhs, rhs = self.decode(*coded[:2]), self.decode(*coded[2:])
+        return EpsRule(lhs, rhs) if isinstance(lhs, Term) else KRule(lhs, rhs)
+
+    def reset(self, rules: Iterable[tuple]) -> None:
+        """Hold exactly the coded ``rules``: a new trie over the same codes."""
+        self.root = [None, {}, {}, 0, None, None]
+        for r in rules:
+            self._insert(r)
+        self._link()
+
+    def node(self, word: tuple) -> list:
+        """The trie node of ``word``, made if missing."""
         node = self.root
-        for c in key:
+        for c in word:
             child = node[1].get(c)
             if child is None:
                 child = node[1][c] = [None, {}, {}, node[3] + 1, None, None]
             node = child
         return node
 
-    def rhs(self, rule: Rule) -> tuple:
-        """``rule``'s right-hand side as its trie node holds it."""
-        if isinstance(rule, EpsRule):
-            r = rule.rhs
-            return r.path.source, (r.tag,) + self.encode(r.path.arrows)
-        return rule.rhs.source, self.encode(rule.rhs.arrows)
-
-    def add(self, rule: Rule) -> None:
+    def add(self, rule: tuple) -> None:
         if self._insert(rule):
             self._link()
 
-    def _insert(self, rule: Rule) -> bool:
-        """Insert ``rule``; True if its left-hand side became a terminal."""
-        node = self.node(rule)
+    def _insert(self, rule: tuple) -> bool:
+        """Insert a coded rule; True if its left-hand side became a terminal."""
+        node = self.node(rule[1])
         if node[0] is not None:
             return False
-        node[0] = self.rhs(rule)
+        node[0] = rule[2:]
         return True
 
     def _link(self) -> None:
@@ -157,6 +163,10 @@ class _RuleIndex:
                 queue.append(child)
 
 
+def _is_term(word: tuple) -> bool:
+    return bool(word) and isinstance(word[0], str)
+
+
 def _goto(node: list, code) -> list:
     """The state after reading ``code`` in ``node``, memoised on ``node``:
     the child on ``code``, else the transition from the failure state
@@ -171,15 +181,16 @@ def _goto(node: list, code) -> list:
     return nxt
 
 
-def _rewrite(source: int, word: tuple, idx: _RuleIndex) -> tuple[int, list]:
-    """Rewrite a coded word until no rule applies; a term's word starts
-    with its tag.  Each round applies the match with the leftmost start,
+def _rewrite(side: tuple, idx: _RuleIndex) -> tuple[int, tuple]:
+    """Rewrite a coded ``(source, word)`` until no rule applies; a term's
+    word starts with its tag.  Each round applies the match with the leftmost start,
     the shortest at that start, so term rules (which start at the tag)
     come first.  One left-to-right scan keeps ``states[k]``, the state
     after ``word[:k]``; at each position the longest match ending there
     has the earliest start of those ending there.  The scan reads on
     only while a live prefix started left of the best start so far, and
     after a rewrite resumes from the state at the match's start."""
+    source, word = side
     word = list(word)
     states = [idx.root]
     push = states.append
@@ -200,7 +211,7 @@ def _rewrite(source: int, word: tuple, idx: _RuleIndex) -> tuple[int, list]:
                 if m is not None and k - m[3] < best:
                     best, end, rhs = k - m[3], k, m[0]
         if best > n:
-            return source, word
+            return source, tuple(word)
         if not best:
             source = rhs[0]
         word[best:end] = rhs[1]
@@ -211,14 +222,14 @@ def _rewrite(source: int, word: tuple, idx: _RuleIndex) -> tuple[int, list]:
         best = n + 1
 
 
-def _reduce_term(t: Term, idx: _RuleIndex) -> Term:
-    source, word = _rewrite(t.path.source, (t.tag,) + idx.encode(t.path.arrows), idx)
-    return Term(word[0], idx.decode(source, word[1:]))
+# Term and path reductions are the same rewrite; they keep two names so
+# that the benchmark can stamp and count each kind.
+def _reduce_term(side: tuple, idx: _RuleIndex) -> tuple:
+    return _rewrite(side, idx)
 
 
-def _reduce_path(p: Path, idx: _RuleIndex) -> Path:
-    source, word = _rewrite(p.source, idx.encode(p.arrows), idx)
-    return idx.decode(source, word)
+def _reduce_path(side: tuple, idx: _RuleIndex) -> tuple:
+    return _rewrite(side, idx)
 
 
 @dataclass(frozen=True)
@@ -278,12 +289,14 @@ class CriticalPair:
 
 def reduce_term(t: Term, system: RewriteSystem) -> Term:
     """Rewrite until no rule applies.  Requires an oriented system."""
-    return _reduce_term(t, system._index)
+    idx = system._index
+    return idx.decode(*_reduce_term(idx.encode(t), idx))
 
 
 def reduce_path(p: Path, system: RewriteSystem) -> Path:
     """Rewrite a bare path with the path rules only."""
-    return _reduce_path(p, system._index)
+    idx = system._index
+    return idx.decode(*_reduce_path(idx.encode(p), idx))
 
 
 def initial_rules(pres: KanPresentation, order: OrderSpec | None = None) -> RewriteSystem:
@@ -327,88 +340,51 @@ def initial_rules(pres: KanPresentation, order: OrderSpec | None = None) -> Rewr
     return RewriteSystem(tuple(term_rules), tuple(path_rules))
 
 
-def _subpath(p: Path, start: int, stop: int | None = None) -> Path:
-    arrows = p.arrows[start:stop]
-    if arrows:
-        return Path(arrows[0].src, arrows)
-    if start < len(p.arrows):
-        return Path(p.arrows[start].src)
-    return Path(p.target)
-
-
-def _splice(p: Path, start: int, length: int, replacement: Path) -> Path:
-    return Path(p.source, p.arrows[:start] + replacement.arrows + p.arrows[start + length :])
-
-
-def _lhs_list(rule: Rule) -> tuple[str, ...]:
-    if isinstance(rule, EpsRule):
-        return tuple(term_as_list(rule.lhs))
-    return rule.lhs.labels
+def _critical_pairs(rules: list[tuple]) -> list[tuple]:
+    """The critical pairs of coded rules as ``(case, (i, j), left, right)``
+    with coded sides, host rule ``i`` first.  For each ordered rule pair
+    (self-pairs included) it emits every containment of rule j's lhs in
+    rule i's by position, then every proper end overlap, a suffix of i's
+    lhs that is a prefix of j's, by length.  A term's word starts with
+    its tag, so a term lhs lies only at the start of another term's and
+    never ends an overlap; the trivial full self-overlap is skipped."""
+    out = []
+    for i, (ls, li, rs, ri) in enumerate(rules):
+        ni = len(li)
+        host_term = _is_term(li)
+        for j, (_, lj, rsj, rj) in enumerate(rules):
+            nj = len(lj)
+            if _is_term(lj):
+                if host_term and i != j and nj <= ni and li[:nj] == lj:
+                    out.append(("i", (i, j), (rsj, rj + li[nj:]), (rs, ri)))
+                continue
+            if i != j:
+                # an arrow's code never matches a term's tag
+                for pos in range(1 if host_term else 0, ni - nj + 1):
+                    if li[pos:pos + nj] == lj:
+                        spliced = (ls, li[:pos] + rj + li[pos + nj:])
+                        out.append(("v" if host_term else "ii", (i, j), (rs, ri), spliced))
+            for o in range(1, min(ni, nj)):
+                if li[ni - o:] == lj[:o]:
+                    out.append(("iv" if host_term else "iii", (i, j),
+                                (rs, ri + lj[o:]), (ls, li[:ni - o] + rj)))
+    return out
 
 
 def find_critical_pairs(system: RewriteSystem) -> list[CriticalPair]:
     """All critical pairs, found by list containment and end-to-start
     matching over every ordered rule pair (self-pairs included, the
     trivial full self-overlap excluded)."""
-    rules = system.rules
-    lists = [_lhs_list(r) for r in rules]
-    out: list[CriticalPair] = []
-    for i, ri in enumerate(rules):
-        li = lists[i]
-        ni = len(li)
-        for j, rj in enumerate(rules):
-            lj = lists[j]
-            nj = len(lj)
-            # containment: lj occurs inside li
-            if nj <= ni:
-                for pos in range(ni - nj + 1):
-                    if i == j and pos == 0 and nj == ni:
-                        continue
-                    if li[pos : pos + nj] == lj:
-                        out.append(_containment_pair(ri, rj, pos, i, j))
-            # proper end overlap: a suffix of li is a prefix of lj
-            for o in range(1, min(ni, nj)):
-                if li[ni - o :] == lj[:o]:
-                    cp = _end_overlap_pair(ri, rj, o, i, j)
-                    if cp is not None:
-                        out.append(cp)
-    return out
-
-
-def _containment_pair(ri: Rule, rj: Rule, pos: int, i: int, j: int) -> CriticalPair:
-    if isinstance(ri, EpsRule) and isinstance(rj, EpsRule):
-        # rj's lhs is a tag-anchored prefix of ri's lhs
-        q = _subpath(ri.lhs.path, len(rj.lhs.path.arrows))
-        left = Term(rj.rhs.tag, compose_paths(rj.rhs.path, q))
-        return CriticalPair(left, ri.rhs, "i", (i, j))
-    if isinstance(ri, EpsRule) and isinstance(rj, KRule):
-        spliced = Term(ri.lhs.tag, _splice(ri.lhs.path, pos - 1, len(rj.lhs.arrows), rj.rhs))
-        return CriticalPair(ri.rhs, spliced, "v", (i, j))
-    assert isinstance(ri, KRule) and isinstance(rj, KRule)
-    spliced = _splice(ri.lhs, pos, len(rj.lhs.arrows), rj.rhs)
-    return CriticalPair(ri.rhs, spliced, "ii", (i, j))
-
-
-def _end_overlap_pair(ri: Rule, rj: Rule, o: int, i: int, j: int) -> CriticalPair | None:
-    if isinstance(rj, EpsRule):
-        return None  # a term list starts with a tag, never matched by a suffix
-    tail = _subpath(rj.lhs, o)
-    if isinstance(ri, EpsRule):
-        n = len(ri.lhs.path.arrows)
-        left = Term(ri.rhs.tag, compose_paths(ri.rhs.path, tail))
-        stem = Term(ri.lhs.tag, compose_paths(_subpath(ri.lhs.path, 0, n - o), rj.rhs))
-        return CriticalPair(left, stem, "iv", (i, j))
-    n = len(ri.lhs.arrows)
-    left = compose_paths(ri.rhs, tail)
-    right = compose_paths(_subpath(ri.lhs, 0, n - o), rj.rhs)
-    return CriticalPair(left, right, "iii", (i, j))
+    idx = system._index
+    return [CriticalPair(idx.decode(*left), idx.decode(*right), case, rules)
+            for case, rules, left, right in _critical_pairs([idx.code(r) for r in system.rules])]
 
 
 def resolves(cp: CriticalPair, system: RewriteSystem) -> bool:
     """A pair resolves when both sides reduce to the same object."""
     idx = system._index
     reduce = _reduce_term if cp.is_term_pair else _reduce_path
-    return reduce(cp.left, idx) == reduce(cp.right, idx)
+    return reduce(idx.encode(cp.left), idx) == reduce(idx.encode(cp.right), idx)
 
 
 def check_confluence(system: RewriteSystem) -> bool:
@@ -416,14 +392,37 @@ def check_confluence(system: RewriteSystem) -> bool:
     return all(resolves(cp, system) for cp in find_critical_pairs(system))
 
 
-def _pair_sort_key(cp: CriticalPair, order: OrderSpec) -> tuple:
-    if cp.is_term_pair:
-        ka = term_sort_key(cp.left, order)
-        kb = term_sort_key(cp.right, order)
-        return (1, max(ka, kb), cp.rules, cp.case)
-    ka = path_sort_key(cp.left, order)
-    kb = path_sort_key(cp.right, order)
-    return (0, max(ka, kb), cp.rules, cp.case)
+def _ranked(system: RewriteSystem, order: OrderSpec) -> tuple[_RuleIndex, list[tuple]]:
+    """A fresh index holding ``system``'s rules, and the rules coded in
+    it.  The arrows are interned in ``order``'s rank, so that ``_key``
+    orders the index's words as the sort keys order paths and terms."""
+    idx = _RuleIndex()
+    paths = [s.path if isinstance(s, Term) else s for r in system.rules for s in (r.lhs, r.rhs)]
+    arrows = {a.label: a for p in paths for a in p.arrows}
+    idx.intern(tuple(sorted(arrows.values(), key=lambda a: order.delta_rank[a.label])))
+    rules = [idx.code(r) for r in system.rules]
+    idx.reset(rules)
+    return idx, rules
+
+
+def _key(word: tuple, x_rank) -> tuple:
+    """Length-lex on a word of an index from ``_ranked``, paths first."""
+    if _is_term(word):
+        return 1, len(word), x_rank[word[0]], word
+    return 0, len(word), word
+
+
+def _oriented(a: tuple, b: tuple, x_rank) -> tuple | None:
+    """Two coded sides as a coded rule, greater side first; None when
+    they are equal."""
+    if a[1] == b[1]:
+        return None
+    return a + b if _key(a[1], x_rank) > _key(b[1], x_rank) else b + a
+
+
+def _system(idx: _RuleIndex, rules: list[tuple]) -> RewriteSystem:
+    return RewriteSystem(tuple(idx.rule(r) for r in rules if _is_term(r[1])),
+                         tuple(idx.rule(r) for r in rules if not _is_term(r[1])))
 
 
 def complete(
@@ -444,68 +443,51 @@ def complete(
     default) so printed systems are canonical.  Limits turn runaway
     completions into a status, not an error; ``max_rule_length`` (list
     length of a new left-hand side) additionally guards against
-    divergent runs whose rules grow without bound.
+    divergent runs whose rules grow without bound.  The pass loop runs
+    on coded rules; the result is decoded once.
     """
     if max_rules <= 0 or max_passes <= 0:
         raise ValueError("limits must be positive")
-    term_rules = list(system.term_rules)
-    path_rules = list(system.path_rules)
-    seen: set = {(r.lhs, r.rhs) for r in system.rules}
+    # holds the current rules: a term lhs never equals a path lhs, and
+    # each kind keeps its order, so first-added still wins per lhs
+    idx, rules = _ranked(system, order)
+    x_rank = order.x_rank
+    terms, paths = rules[:len(system.term_rules)], rules[len(system.term_rules):]
+    seen = set(rules)
     added = 0
     passes = 0
 
-    def freeze() -> RewriteSystem:
-        return RewriteSystem(tuple(term_rules), tuple(path_rules))
+    def stop(reason: str) -> CompletionResult:
+        return CompletionResult(CompletionStatus.LIMIT_EXCEEDED, reason,
+                                _system(idx, terms + paths), passes, added)
 
-    # holds the current rules: a term lhs never equals a path lhs, and
-    # each kind keeps its order, so first-added still wins per lhs
-    idx = _RuleIndex(system.rules)
     while True:
         if passes >= max_passes:
-            return CompletionResult(
-                CompletionStatus.LIMIT_EXCEEDED,
-                f"pass limit {max_passes} reached",
-                freeze(), passes, added,
-            )
+            return stop(f"pass limit {max_passes} reached")
         passes += 1
-        current = freeze()
-        pairs = find_critical_pairs(current)
-        pairs.sort(key=lambda cp: _pair_sort_key(cp, order))
+        pairs = _critical_pairs(terms + paths)
+        pairs.sort(key=lambda cp: (max(_key(cp[2][1], x_rank), _key(cp[3][1], x_rank)),
+                                   cp[1], cp[0]))
         grew = False
-        for cp in pairs:
-            reduce = _reduce_term if cp.is_term_pair else _reduce_path
-            a, b = reduce(cp.left, idx), reduce(cp.right, idx)
-            pair = orient_pair(a, b, order)
-            if pair is None or pair in seen:
+        for _, _, left, right in pairs:
+            term = _is_term(left[1])
+            reduce = _reduce_term if term else _reduce_path
+            rule = _oriented(reduce(left, idx), reduce(right, idx), x_rank)
+            if rule is None or rule in seen:
                 continue
-            if max_rule_length is not None:
-                lhs_len = len(pair[0]) if cp.is_term_pair else len(pair[0].arrows)
-                if lhs_len > max_rule_length:
-                    return CompletionResult(
-                        CompletionStatus.LIMIT_EXCEEDED,
-                        f"rule length limit {max_rule_length} exceeded",
-                        freeze(), passes, added,
-                    )
-            seen.add(pair)
-            if cp.is_term_pair:
-                rule = EpsRule(*pair)
-                term_rules.append(rule)
-            else:
-                rule = KRule(*pair)
-                path_rules.append(rule)
+            if max_rule_length is not None and len(rule[1]) > max_rule_length:
+                return stop(f"rule length limit {max_rule_length} exceeded")
+            seen.add(rule)
+            (terms if term else paths).append(rule)
             idx.add(rule)
             added += 1
             grew = True
-            if len(term_rules) + len(path_rules) > max_rules:
-                return CompletionResult(
-                    CompletionStatus.LIMIT_EXCEEDED,
-                    f"rule limit {max_rules} exceeded",
-                    freeze(), passes, added,
-                )
+            if len(terms) + len(paths) > max_rules:
+                return stop(f"rule limit {max_rules} exceeded")
         if not grew:
             break
 
-    final = freeze()
+    final = _system(idx, terms + paths)
     if interreduce_after:
         final = interreduce(final, order)
     return CompletionResult(CompletionStatus.COMPLETE, None, final, passes, added)
@@ -518,40 +500,35 @@ def interreduce(system: RewriteSystem, order: OrderSpec) -> RewriteSystem:
     whole set and every left-hand side is irreducible with respect to
     the other rules; rules whose sides collapse together are dropped.
     """
-    rules: list[Rule] = list(system.rules)
+    idx, rules = _ranked(system, order)
     changed = True
     while changed:
         changed = False
-        idx = _RuleIndex(rules)
-        # positions by lhs; a Term lhs never equals a Path lhs
-        owners: dict[Term | Path, list[int]] = {}
+        idx.reset(rules)
+        # positions by coded lhs
+        owners: dict[tuple, list[int]] = {}
         for pos, rule in enumerate(rules):
-            owners.setdefault(rule.lhs, []).append(pos)
+            owners.setdefault(rule[:2], []).append(pos)
         for pos, rule in enumerate(rules):
             # reduce the lhs against the other rules: its trie node takes
             # the rhs of the first other rule with the same lhs, if any
-            node = idx.node(rule)
+            node = idx.node(rule[1])
             own = node[0]
-            twins = [k for k in owners[rule.lhs] if k != pos]
-            node[0] = idx.rhs(rules[twins[0]]) if twins else None
-            reduce = _reduce_term if isinstance(rule, EpsRule) else _reduce_path
-            l2 = reduce(rule.lhs, idx)
+            twins = [k for k in owners[rule[:2]] if k != pos]
+            node[0] = rules[twins[0]][2:] if twins else None
+            reduce = _reduce_term if _is_term(rule[1]) else _reduce_path
+            lhs = reduce(rule[:2], idx)
             node[0] = own
-            r2 = reduce(rule.rhs, idx)
-            if l2 == rule.lhs and r2 == rule.rhs:
+            rhs = reduce(rule[2:], idx)
+            if lhs + rhs == rule:
                 continue
             del rules[pos]
-            pair = orient_pair(l2, r2, order)
-            if pair is not None:
-                new = EpsRule(*pair) if isinstance(rule, EpsRule) else KRule(*pair)
-                if new not in rules:
-                    rules.append(new)
+            new = _oriented(lhs, rhs, order.x_rank)
+            if new is not None and new not in rules:
+                rules.append(new)
             changed = True
             break
-    return RewriteSystem(
-        tuple(r for r in rules if isinstance(r, EpsRule)),
-        tuple(r for r in rules if isinstance(r, KRule)),
-    )
+    return _system(idx, rules)
 
 
 # --- serialization ---
