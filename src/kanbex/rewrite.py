@@ -183,13 +183,14 @@ def _goto(node: list, code) -> list:
 
 def _rewrite(side: tuple, idx: _RuleIndex) -> tuple[int, tuple]:
     """Rewrite a coded ``(source, word)`` until no rule applies; a term's
-    word starts with its tag.  Each round applies the match with the leftmost start,
-    the shortest at that start, so term rules (which start at the tag)
-    come first.  One left-to-right scan keeps ``states[k]``, the state
-    after ``word[:k]``; at each position the longest match ending there
-    has the earliest start of those ending there.  The scan reads on
-    only while a live prefix started left of the best start so far, and
-    after a rewrite resumes from the state at the match's start."""
+    word starts with its tag.  Each round applies the match with the
+    leftmost start, the shortest at that start, so term rules (which
+    start at the tag) come first.  One left-to-right scan keeps
+    ``states[k]``, the state after ``word[:k]``; at each position the
+    longest match ending there has the earliest start of those ending
+    there.  The scan reads on only while a live prefix started left of
+    the best start so far, and after a rewrite resumes from the state at
+    the match's start."""
     source, word = side
     word = list(word)
     states = [idx.root]
