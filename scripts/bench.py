@@ -1,24 +1,27 @@
 #!/usr/bin/env python3
 """Compare the working tree with a git revision on the benchmark.
 
-    python3 scripts/bench.py --rev HEAD --seeds 601-610 --seconds 30 -o BENCH_6.json
+    python3 scripts/bench.py --rev HEAD --seeds 601-610 -o BENCH_6.json
 
-For every workload in ``BENCHMARK.json`` (or those given with
-``--workload``) and every seed, ``kanbench/run.py`` runs once on a copy
-of the revision (``git archive`` into a temporary directory) and once on
-the working tree, one after the other, with the side that goes first
-alternating from seed to seed.  Each run is one process, run to the end
-before the next starts.
+For every workload in ``BENCHMARK.json`` and every seed,
+``kanbench/run.py`` runs once, for the benchmark's ``run_seconds``, on a
+copy of the revision (``git archive`` into a temporary directory) and
+once on the working tree, one after the other, with the side that goes
+first alternating from seed to seed.  Each run is one process, run to
+the end before the next starts.
 
 The output holds, per workload and end-to-end metric, each side's runs,
-median and quartiles, the number of pairs the working tree wins (ties
-count for neither side), and the working tree's median over the
-revision's.  ``gain`` is true when the working tree wins at least nine
-pairs in ten and the medians differ by more than the revision's
-interquartile range; ``within_bound`` is true when the working tree's
-median is worse than the revision's by no more than the metric's bound,
-taken as a fraction of the revision's median.  Every run's ``correct``
-and ``failed`` are kept.
+median and quartiles, the number of pairs the working tree wins (ties,
+and pairs where either run crashed, count for neither side), and the
+working tree's median over the revision's.  ``gain`` is true when the
+working tree wins at least nine pairs in ten, the medians differ by
+more than the revision's interquartile range, and no working-tree run
+is incorrect or fails more operations than its paired run.
+``within_bound`` is true when the working tree's median is worse than
+the revision's by no more than the metric's bound, taken as a fraction
+of the revision's median, and null (unresolved) when the revision's
+interquartile range is itself wider than that bound.  Every run's
+``correct`` and ``failed`` are kept.
 """
 
 from __future__ import annotations
@@ -72,22 +75,30 @@ def summary(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": values}
 
 
+def worse(b: dict, c: dict) -> bool:
+    """The working tree's run ``c`` is incorrect or fails more than ``b``."""
+    return not c["correct"] or (b["failed"] is not None and c["failed"] > b["failed"])
+
+
 def compare(metric: dict, base: list[dict], change: list[dict]) -> dict:
-    name, lower = metric["name"], metric["better"] == "lower"
+    name, lower, bound = metric["name"], metric["better"] == "lower", metric["bound"]
     pairs = [(b["metrics"][name]["value"], c["metrics"][name]["value"])
              for b, c in zip(base, change) if name in b["metrics"] and name in c["metrics"]]
     if len(pairs) < 2:
-        return {"pairs": len(pairs)}
+        return {"pairs": len(base), "measured": len(pairs), "gain": False, "within_bound": None}
     old, new = summary([b for b, _ in pairs]), summary([c for _, c in pairs])
     wins = sum((c < b) if lower else (c > b) for b, c in pairs)
     ratio = new["median"] / old["median"]
     gap = (old["median"] - new["median"]) if lower else (new["median"] - old["median"])
+    iqr = old["q3"] - old["q1"]
     return {
-        "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
-        "base": old, "change": new, "pairs": len(pairs), "wins": wins,
+        "unit": metric["unit"], "better": metric["better"], "bound": bound,
+        "base": old, "change": new, "pairs": len(base), "measured": len(pairs), "wins": wins,
         "ratio": ratio,
-        "gain": wins >= 0.9 * len(pairs) and gap > old["q3"] - old["q1"],
-        "within_bound": ratio <= 1 + metric["bound"] if lower else ratio >= 1 - metric["bound"],
+        "gain": (wins >= 0.9 * len(base) and gap > iqr
+                 and not any(worse(b, c) for b, c in zip(base, change))),
+        "within_bound": (None if iqr > bound * old["median"]
+                         else ratio <= 1 + bound if lower else ratio >= 1 - bound),
     }
 
 
@@ -96,24 +107,21 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rev", default="HEAD", help="the revision to compare against")
     parser.add_argument("--seeds", type=seed_list, default=seed_list("601-610"))
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
-    parser.add_argument("--workload", action="append",
-                        help="a workload to run (repeatable); default: all")
     parser.add_argument("-o", "--output", type=Path, required=True)
     args = parser.parse_args(argv)
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
 
-    out = {"seconds": args.seconds, "seeds": args.seeds, "workloads": {}}
+    out = {"seconds": seconds, "seeds": args.seeds, "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
         base_tree = Path(tmp)
         out["base"] = export(args.rev, base_tree)
-        for workload in workloads:
+        for workload in (w["name"] for w in spec["workloads"]):
             runs = {"base": [], "change": []}
             for k, seed in enumerate(args.seeds):
                 order = ("base", "change") if k % 2 == 0 else ("change", "base")
                 for side in order:
                     tree = base_tree if side == "base" else ROOT
-                    runs[side].append(run_once(tree, workload, seed, args.seconds))
+                    runs[side].append(run_once(tree, workload, seed, seconds))
                     print(f"{workload} seed {seed} {side}: "
                           f"{ {m: v['value'] for m, v in runs[side][-1]['metrics'].items()} }",
                           file=sys.stderr, flush=True)

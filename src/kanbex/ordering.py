@@ -6,10 +6,11 @@ linear order on element labels, then positionwise on arrows.  Both
 default orders are declaration order in the presentation, so the
 comparison is deterministic and user-controllable without code changes.
 
-The sort keys encode the order on ``Path`` and ``Term`` values: two
+``word_key`` is the one definition of the order: on words of arrow
+codes, a term's word starting with its tag.  ``path_sort_key`` and
+``term_sort_key`` apply it to a ``Path`` or ``Term`` coded by rank; two
 paths (or two terms) compare as their keys do, and equal keys mean equal
-label lists.  Completion compares int-coded words instead, with codes
-interned in rank order (``rewrite._key``), which orders them the same.
+label lists.
 """
 
 from __future__ import annotations
@@ -46,15 +47,28 @@ class OrderSpec:
         )
 
 
+def word_key(word: tuple, x_rank: Mapping[str, int]) -> tuple:
+    """Length-lex key of a path's word of arrow codes, or of a term's word
+    (its tag, then its arrow codes): paths before terms, then by length,
+    then a term's tag by ``x_rank``, then the codes left to right.
+
+    Words compare as the paths and terms they code only when the codes
+    increase with ``delta_rank``: an arrow coded by its rank, or arrows
+    interned in rank order.
+    """
+    if word and isinstance(word[0], str):
+        return 1, len(word), x_rank[word[0]], word
+    return 0, len(word), word
+
+
 def path_sort_key(p: Path, order: OrderSpec) -> tuple:
     rank = order.delta_rank
-    return (len(p.arrows), tuple([rank[a.label] for a in p.arrows]))
+    return word_key(tuple([rank[a.label] for a in p.arrows]), order.x_rank)
 
 
 def term_sort_key(t: Term, order: OrderSpec) -> tuple:
     rank = order.delta_rank
-    arrows = t.path.arrows
-    return (1 + len(arrows), order.x_rank[t.tag], tuple([rank[a.label] for a in arrows]))
+    return word_key((t.tag, *[rank[a.label] for a in t.path.arrows]), order.x_rank)
 
 
 def orient_pair(a, b, order: OrderSpec):

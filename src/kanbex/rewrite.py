@@ -28,7 +28,7 @@ from .model import (
     format_term,
     validate_presentation,
 )
-from .ordering import OrderSpec, orient_pair, path_sort_key, term_sort_key
+from .ordering import OrderSpec, orient_pair, path_sort_key, term_sort_key, word_key
 
 
 @dataclass(frozen=True)
@@ -395,8 +395,8 @@ def check_confluence(system: RewriteSystem) -> bool:
 
 def _ranked(system: RewriteSystem, order: OrderSpec) -> tuple[_RuleIndex, list[tuple]]:
     """A fresh index holding ``system``'s rules, and the rules coded in
-    it.  The arrows are interned in ``order``'s rank, so that ``_key``
-    orders the index's words as the sort keys order paths and terms."""
+    it.  The arrows are interned in ``order``'s rank, so that ``word_key``
+    orders the index's words as the paths and terms they code."""
     idx = _RuleIndex()
     paths = [s.path if isinstance(s, Term) else s for r in system.rules for s in (r.lhs, r.rhs)]
     arrows = {a.label: a for p in paths for a in p.arrows}
@@ -406,19 +406,12 @@ def _ranked(system: RewriteSystem, order: OrderSpec) -> tuple[_RuleIndex, list[t
     return idx, rules
 
 
-def _key(word: tuple, x_rank) -> tuple:
-    """Length-lex on a word of an index from ``_ranked``, paths first."""
-    if _is_term(word):
-        return 1, len(word), x_rank[word[0]], word
-    return 0, len(word), word
-
-
 def _oriented(a: tuple, b: tuple, x_rank) -> tuple | None:
     """Two coded sides as a coded rule, greater side first; None when
     they are equal."""
     if a[1] == b[1]:
         return None
-    return a + b if _key(a[1], x_rank) > _key(b[1], x_rank) else b + a
+    return a + b if word_key(a[1], x_rank) > word_key(b[1], x_rank) else b + a
 
 
 def _system(idx: _RuleIndex, rules: list[tuple]) -> RewriteSystem:
@@ -467,7 +460,7 @@ def complete(
             return stop(f"pass limit {max_passes} reached")
         passes += 1
         pairs = _critical_pairs(terms + paths)
-        pairs.sort(key=lambda cp: (max(_key(cp[2][1], x_rank), _key(cp[3][1], x_rank)),
+        pairs.sort(key=lambda cp: (max(word_key(cp[2][1], x_rank), word_key(cp[3][1], x_rank)),
                                    cp[1], cp[0]))
         grew = False
         for _, _, left, right in pairs:
@@ -541,14 +534,14 @@ def format_rule(rule: Rule) -> str:
 
 
 def sorted_rules(system: RewriteSystem, order: OrderSpec) -> list[Rule]:
-    """Canonical print order: by left-hand-side list length, path rules
-    before term rules at equal length, then by the left-hand side's sort
-    key (ties broken by the right-hand side's)."""
+    """Canonical print order: by left-hand-side list length, then by the
+    left-hand side's sort key, which puts path rules before term rules
+    at equal length (ties broken by the right-hand side's)."""
 
     def key(rule: Rule):
         sort_key = term_sort_key if isinstance(rule, EpsRule) else path_sort_key
         lhs = sort_key(rule.lhs, order)
-        return (lhs[0], isinstance(rule, EpsRule), lhs, sort_key(rule.rhs, order))
+        return (lhs[1], lhs, sort_key(rule.rhs, order))
 
     return sorted(system.rules, key=key)
 
