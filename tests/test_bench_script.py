@@ -1,0 +1,46 @@
+"""The gain and bound rules of ``scripts/bench.py``'s comparison."""
+
+import importlib.util
+from pathlib import Path
+
+_spec = importlib.util.spec_from_file_location(
+    "bench", Path(__file__).resolve().parent.parent / "scripts" / "bench.py")
+bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench)
+
+METRIC = {"name": "t", "unit": "s", "better": "lower", "bound": 0.25}
+
+
+def run(value, correct=True, failed=0):
+    metrics = {} if value is None else {"t": {"value": value}}
+    return {"correct": correct, "failed": failed, "metrics": metrics}
+
+
+BASE = [run(1.0 + 0.01 * k) for k in range(10)]
+FASTER = [run(0.7) for _ in range(10)]
+
+
+def test_a_clear_win_is_a_gain_within_bound():
+    result = bench.compare(METRIC, BASE, FASTER)
+    assert (result["pairs"], result["measured"], result["wins"]) == (10, 10, 10)
+    assert result["gain"] is True and result["within_bound"] is True
+
+
+def test_a_crashed_or_failing_change_run_is_no_gain():
+    crashed = FASTER[:3] + [run(None, False, None)] + FASTER[4:]
+    result = bench.compare(METRIC, BASE, crashed)
+    assert (result["measured"], result["wins"], result["gain"]) == (9, 9, False)
+    failing = FASTER[:3] + [run(0.7, failed=1)] + FASTER[4:]
+    assert bench.compare(METRIC, BASE, failing)["gain"] is False
+
+
+def test_a_pair_lost_to_a_crashed_base_run_counts_against_the_gain():
+    base = [run(None, False, None), run(None, False, None)] + BASE[2:]
+    result = bench.compare(METRIC, base, FASTER)
+    assert (result["pairs"], result["wins"], result["gain"]) == (10, 8, False)
+
+
+def test_a_base_spread_wider_than_the_bound_leaves_the_bound_unresolved():
+    wide = [run(1.0 + 0.1 * k) for k in range(10)]
+    assert bench.compare(METRIC, wide, FASTER)["within_bound"] is None
+    assert bench.compare(METRIC, BASE, [run(1.5) for _ in range(10)])["within_bound"] is False
