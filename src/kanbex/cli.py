@@ -19,6 +19,7 @@ from .model import (
     CompositionError,
     KanPresentation,
     PresentationError,
+    _read_json,
     format_term,
     list_as_term,
     load_presentation,
@@ -269,12 +270,7 @@ def _cmd_confluent(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise PresentationError(f"invalid JSON: {e}") from e
-    pres = encode_from_json(args.family, data)
+    pres = encode_from_json(args.family, _read_json(args.file))
     text = json.dumps(presentation_to_json(pres), indent=2)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

@@ -4,7 +4,9 @@ Each constructor produces a validated nine-field record so the one
 generic engine solves the original problem: monoid/category normal
 forms, coset systems, right congruences, quotients of sets (plain or
 equivariant), orbits and conjugacy classes, colimits of set diagrams,
-and induced actions along a morphism.
+and induced actions along a morphism.  Most are calls of a more general
+one: a monoid is a one-object category, orbits and plain quotients are
+colimits, cosets and right congruences are induced actions.
 
 Groups are written as monoids: inverse generators and invertibility
 relations are included only when the caller supplies them, never
@@ -21,6 +23,16 @@ from .model import (
     KanPresentation,
     Path,
     PresentationError,
+    _entries,
+    _ints,
+    _is_int,
+    _is_label,
+    _is_labels,
+    _label,
+    _labels,
+    _mapping,
+    _relation,
+    _shape,
     path_from_labels,
     validate_presentation,
 )
@@ -83,17 +95,12 @@ def _one_object_delta(desc: MonoidPresentationDesc):
 
 
 def from_monoid_presentation(desc: MonoidPresentationDesc, point: str = "e") -> KanPresentation:
-    """Normal forms for a monoid: a trivial one-point action extended
-    along the inclusion of the singleton into the monoid."""
+    """Normal forms for a monoid: the arrows-by-target of the one-object
+    category it presents."""
     if point in desc.generators:
         raise PresentationError(f"point label {point!r} collides with a generator")
-    arrows, rels, _ = _one_object_delta(desc)
-    return _finish(KanPresentation(
-        ob_a=(1,), arr_a=(),
-        ob_b=(1,), arr_b=arrows, rel_b=rels,
-        f_ob_a=(1,), f_arr_a=(),
-        x_ob_a=((point,),), x_arr_a=(),
-    ))
+    return from_category_presentation(
+        (1,), [(g, 1, 1) for g in desc.generators], desc.relations, points=(point,))
 
 
 def from_category_presentation(
@@ -106,7 +113,8 @@ def from_category_presentation(
     per object, acted on trivially, extended along the object inclusion.
 
     An empty relation side denotes the identity path at the other side's
-    source (so the other side must be a cycle).
+    source (so the other side must be a cycle); in a one-object category
+    both sides may be empty.
     """
     obs = tuple(objects)
     arrs = tuple(Arrow(l, s, t) for l, s, t in arrows)
@@ -117,52 +125,29 @@ def from_category_presentation(
     if len(points) != len(obs):
         raise PresentationError(f"expected {len(obs)} point labels, got {len(points)}")
 
-    rels = []
-    for k, (lhs, rhs) in enumerate(relations, 1):
-        if not lhs and not rhs:
-            raise PresentationError(f"relation {k}: both sides empty")
-        l = path_from_labels(tuple(lhs), by_label, source=None, where=f"relation {k} lhs") \
-            if lhs else None
-        r = path_from_labels(tuple(rhs), by_label, source=None, where=f"relation {k} rhs") \
-            if rhs else None
-        if l is None:
-            l = Path.identity(r.source)  # type: ignore[union-attr]
-        if r is None:
-            r = Path.identity(l.source)
-        rels.append((l, r))
+    def side(labels: Sequence[str], where: str) -> Path | None:
+        return path_from_labels(tuple(labels), by_label, where=where) if labels else None
 
+    rels = tuple(
+        _relation(side(lhs, f"relation {k} lhs"), side(rhs, f"relation {k} rhs"),
+                  f"relation {k}", source=obs[0] if len(obs) == 1 else None)
+        for k, (lhs, rhs) in enumerate(relations, 1)
+    )
     return _finish(KanPresentation(
         ob_a=obs, arr_a=(),
-        ob_b=obs, arr_b=arrs, rel_b=tuple(rels),
+        ob_b=obs, arr_b=arrs, rel_b=rels,
         f_ob_a=obs, f_arr_a=(),
         x_ob_a=tuple((pt,) for pt in points), x_arr_a=(),
     ))
 
 
-def _tagged_prefix_system(
-    monoid: MonoidPresentationDesc, words: Sequence[Word], tag: str
-) -> KanPresentation:
-    if tag in monoid.generators:
-        raise PresentationError(f"tag label {tag!r} collides with a generator")
-    arrows, rels, word_path = _one_object_delta(monoid)
-    n = len(words)
-    return _finish(KanPresentation(
-        ob_a=(1,), arr_a=((1, 1),) * n,
-        ob_b=(1,), arr_b=arrows, rel_b=rels,
-        f_ob_a=(1,),
-        f_arr_a=tuple(word_path(w, f"word {k}") for k, w in enumerate(words, 1)),
-        x_ob_a=((tag,),),
-        x_arr_a=((tag,),) * n,
-    ))
-
-
 def from_coset_system(desc: CosetSystemDesc, tag: str = "H") -> KanPresentation:
-    """Right cosets of a finitely generated subgroup: the trivial action
-    of the subgroup's free generators, extended along their inclusion."""
+    """Right cosets of a finitely generated subgroup: the right congruence
+    generated by its generating words."""
     if desc.side != "right":
         raise PresentationError("only right coset systems are supported")
     monoid = MonoidPresentationDesc(desc.group_generators, desc.group_relations)
-    return _tagged_prefix_system(monoid, desc.subgroup_words, tag)
+    return from_right_congruence(monoid, desc.subgroup_words, tag)
 
 
 def from_right_congruence(
@@ -171,8 +156,32 @@ def from_right_congruence(
     tag: str = "H",
 ) -> KanPresentation:
     """Classes of the right congruence generated by ``w ~ empty`` for the
-    given words; same shape as the coset encoding, over a monoid."""
-    return _tagged_prefix_system(monoid, congruence_words, tag)
+    given words: the one-point trivial action of the free monoid on the
+    words, induced along the morphism sending each free generator to its
+    word."""
+    if tag in monoid.generators:
+        raise PresentationError(f"tag label {tag!r} collides with a generator")
+    names = tuple(f"word {k}" for k in range(1, len(congruence_words) + 1))
+    return from_group_morphism(
+        MonoidPresentationDesc(names), monoid, dict(zip(names, congruence_words)),
+        (tag,), dict.fromkeys(names, (tag,)),
+    )
+
+
+def _action_images(
+    points: tuple[str, ...], generators: Sequence[str], action: Mapping[str, Sequence[str]]
+) -> tuple[tuple[str, ...], ...]:
+    """The image list of each generator: one image per point, each a point."""
+    out = []
+    for g in generators:
+        images = action.get(g)
+        if images is None or len(images) != len(points):
+            raise PresentationError(f"action of {g!r} must list an image per point")
+        for q in images:
+            if q not in points:
+                raise PresentationError(f"action of {g!r}: unknown image {q!r}")
+        out.append(tuple(images))
+    return tuple(out)
 
 
 def from_relation_quotient(
@@ -181,7 +190,8 @@ def from_relation_quotient(
     monoid: MonoidPresentationDesc | None = None,
     action: Mapping[str, Sequence[str]] | None = None,
 ) -> KanPresentation:
-    """Equivalence classes of a point set under a relation.
+    """Equivalence classes of a point set under a relation: the colimit of
+    one singleton set per point, with an arrow per pair.
 
     With ``monoid``/``action`` given this is the equivariant variant:
     the quotient by the smallest equivalence containing the pairs and
@@ -196,35 +206,22 @@ def from_relation_quotient(
     if (monoid is None) != (action is None):
         raise PresentationError("equivariant variant needs both the monoid and its action")
 
-    if monoid is None:
-        arr_b: tuple[Arrow, ...] = ()
-        rel_b: tuple = ()
-        word_path = None
-    else:
-        arr_b, rel_b, word_path = _one_object_delta(monoid)
-
     arr_a: list[tuple[int, int]] = []
-    f_arr_a: list[Path] = []
-    x_arr_a: list[tuple[str, ...]] = []
-
     for k, (p, q) in enumerate(pairs, 1):
         if p not in index or q not in index:
             raise PresentationError(f"pair {k}: unknown point")
         arr_a.append((index[p], index[q]))
-        f_arr_a.append(Path.identity(1))
-        x_arr_a.append((q,))
+    x_arr_a = [(q,) for _, q in pairs]
+    if monoid is None:
+        return from_colimit_diagram(arr_a, [(p,) for p in pts], x_arr_a)
 
-    if action is not None:
-        for g in monoid.generators:  # type: ignore[union-attr]
-            images = action.get(g)
-            if images is None or len(images) != len(pts):
-                raise PresentationError(f"action of {g!r} must list an image per point")
-            for p, q in zip(pts, images):
-                if q not in index:
-                    raise PresentationError(f"action of {g!r}: unknown image {q!r}")
-                arr_a.append((index[p], index[q]))
-                f_arr_a.append(word_path((g,), f"action of {g!r}"))  # type: ignore[misc]
-                x_arr_a.append((q,))
+    arr_b, rel_b, word_path = _one_object_delta(monoid)
+    f_arr_a = [Path.identity(1)] * len(arr_a)
+    for g, images in zip(monoid.generators, _action_images(pts, monoid.generators, action)):
+        for p, q in zip(pts, images):
+            arr_a.append((index[p], index[q]))
+            f_arr_a.append(word_path((g,), f"action of {g!r}"))
+            x_arr_a.append((q,))
 
     return _finish(KanPresentation(
         ob_a=tuple(range(1, len(pts) + 1)),
@@ -238,29 +235,13 @@ def from_relation_quotient(
 
 
 def from_action_orbits(desc: ActionDesc) -> KanPresentation:
-    """Orbit representatives of a monoid action: extend the action along
-    the null functor to the trivial category."""
+    """Orbit representatives of a monoid action: the colimit of the one-object
+    diagram with a loop per generator."""
     pts = tuple(desc.points)
     if len(set(pts)) != len(pts):
         raise PresentationError("duplicate point labels")
-    gens = desc.monoid.generators
-    x_arr_a = []
-    for g in gens:
-        images = desc.action.get(g)
-        if images is None or len(images) != len(pts):
-            raise PresentationError(f"action of {g!r} must list an image per point")
-        for q in images:
-            if q not in pts:
-                raise PresentationError(f"action of {g!r}: unknown image {q!r}")
-        x_arr_a.append(tuple(images))
-    return _finish(KanPresentation(
-        ob_a=(1,), arr_a=((1, 1),) * len(gens),
-        ob_b=(1,), arr_b=(), rel_b=(),
-        f_ob_a=(1,),
-        f_arr_a=(Path.identity(1),) * len(gens),
-        x_ob_a=(pts,),
-        x_arr_a=tuple(x_arr_a),
-    ))
+    images = _action_images(pts, desc.monoid.generators, desc.action)
+    return from_colimit_diagram(((1, 1),) * len(images), (pts,), images, objects=(1,))
 
 
 def conjugation_action(
@@ -304,14 +285,14 @@ def conjugation_action(
     identity_nf = nf(())
     action: dict[str, tuple[str, ...]] = {}
     for g in group.generators:
-        inv = inverses.get(g)
-        if inv is None:
+        if g not in inverses:
             raise PresentationError(f"no inverse word supplied for generator {g!r}")
-        if nf(tuple(inv) + (g,)) != identity_nf or nf((g,) + tuple(inv)) != identity_nf:
+        inv = tuple(inverses[g])
+        if nf(inv + (g,)) != identity_nf or nf((g,) + inv) != identity_nf:
             raise PresentationError(f"word {inv!r} is not an inverse of {g!r}")
         images = []
         for w in elements:
-            conj = nf(tuple(inv) + tuple(w) + (g,))
+            conj = nf(inv + tuple(w) + (g,))
             i = by_nf.get(conj)
             if i is None:
                 raise PresentationError("element list is not closed under conjugation")
@@ -357,24 +338,18 @@ def from_group_morphism(
     mapped by the morphism's generator images."""
     pts = tuple(points)
     arrows, rels, word_path = _one_object_delta(target)
-    arr_a = []
     f_arr_a = []
-    x_arr_a = []
     for g in source.generators:
         w = gen_images.get(g)
         if w is None:
             raise PresentationError(f"no image word for source generator {g!r}")
-        images = action.get(g)
-        if images is None or len(images) != len(pts):
-            raise PresentationError(f"action of {g!r} must list an image per point")
-        arr_a.append((1, 1))
         f_arr_a.append(word_path(tuple(w), f"image of {g!r}"))
-        x_arr_a.append(tuple(images))
+    x_arr_a = _action_images(pts, source.generators, action)
     return _finish(KanPresentation(
-        ob_a=(1,), arr_a=tuple(arr_a),
+        ob_a=(1,), arr_a=((1, 1),) * len(f_arr_a),
         ob_b=(1,), arr_b=arrows, rel_b=rels,
         f_ob_a=(1,), f_arr_a=tuple(f_arr_a),
-        x_ob_a=(pts,), x_arr_a=tuple(x_arr_a),
+        x_ob_a=(pts,), x_arr_a=x_arr_a,
     ))
 
 
@@ -386,137 +361,92 @@ ENCODE_FAMILIES = (
 )
 
 
-def _json_word(obj, where: str) -> Word:
-    if not isinstance(obj, list) or not all(isinstance(x, str) for x in obj):
-        raise PresentationError(f"{where}: expected an array of generator labels")
-    return tuple(obj)
-
-
-def _json_relations(obj, where: str) -> tuple[tuple[Word, Word], ...]:
-    if not isinstance(obj, list):
-        raise PresentationError(f"{where}: expected an array of word pairs")
-    out = []
-    for k, entry in enumerate(obj, 1):
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise PresentationError(f"{where}[{k}]: expected a pair of words")
-        out.append((_json_word(entry[0], f"{where}[{k}].lhs"),
-                    _json_word(entry[1], f"{where}[{k}].rhs")))
-    return tuple(out)
-
-
-def _json_strings(obj, where: str) -> tuple[str, ...]:
-    if not isinstance(obj, list) or not all(isinstance(x, str) for x in obj):
-        raise PresentationError(f"{where}: expected an array of labels")
-    return tuple(obj)
+# (test, description) of an entry, for _entries and _mapping
+_WORD = (_is_labels, "an array of labels")
+_WORD_PAIR = (_shape(_is_labels, _is_labels), "a pair of words")
 
 
 def _json_monoid(obj, where: str) -> MonoidPresentationDesc:
-    if not isinstance(obj, Mapping):
-        raise PresentationError(f"{where}: expected an object")
+    obj = _mapping(obj, where)
     return MonoidPresentationDesc(
-        generators=_json_strings(obj.get("generators", ()), f"{where}.generators"),
-        relations=_json_relations(obj.get("relations", []), f"{where}.relations"),
+        generators=_labels(obj.get("generators", []), f"{where}.generators"),
+        relations=tuple((tuple(l), tuple(r)) for l, r in _entries(
+            obj.get("relations", []), f"{where}.relations", *_WORD_PAIR)),
     )
-
-
-def _json_action(obj, where: str) -> dict[str, tuple[str, ...]]:
-    if not isinstance(obj, Mapping):
-        raise PresentationError(f"{where}: expected an object mapping generators to image lists")
-    return {g: _json_strings(images, f"{where}.{g}") for g, images in obj.items()}
 
 
 def encode_from_json(family: str, data: Mapping) -> KanPresentation:
     """Dispatch a JSON descriptor to its constructor."""
     if not isinstance(data, Mapping):
         raise PresentationError("descriptor must be a JSON object")
+    get = data.get
     if family == "monoid":
         desc = _json_monoid(data, "monoid")
-        return from_monoid_presentation(desc, point=data.get("point", "e"))
+        return from_monoid_presentation(desc, point=_label(get("point", "e"), "point"))
     if family == "category":
-        arrows = []
-        for k, entry in enumerate(data.get("arrows", []), 1):
-            if (not isinstance(entry, list) or len(entry) != 3
-                    or not isinstance(entry[0], str)):
-                raise PresentationError(f"arrows[{k}]: expected [label, src, tgt]")
-            arrows.append((entry[0], entry[1], entry[2]))
-        relations = list(_json_relations(data.get("relations", []), "relations"))
-        points = data.get("points")
+        points = get("points")
         return from_category_presentation(
-            data.get("objects", ()), arrows, relations,
-            points=_json_strings(points, "points") if points is not None else None,
+            _ints(get("objects", []), "objects"),
+            _entries(get("arrows", []), "arrows", _shape(_is_label, _is_int, _is_int),
+                     "[label, src, tgt]"),
+            _entries(get("relations", []), "relations", *_WORD_PAIR),
+            points=None if points is None else _labels(points, "points"),
         )
     if family == "cosets":
         desc = CosetSystemDesc(
-            group_generators=_json_strings(data.get("generators", ()), "generators"),
-            group_relations=_json_relations(data.get("relations", []), "relations"),
-            subgroup_words=tuple(
-                _json_word(w, f"subgroup[{k}]")
-                for k, w in enumerate(data.get("subgroup", []), 1)
-            ),
-            side=data.get("side", "right"),
+            group_generators=_labels(get("generators", []), "generators"),
+            group_relations=_entries(get("relations", []), "relations", *_WORD_PAIR),
+            subgroup_words=_entries(get("subgroup", []), "subgroup", *_WORD),
+            side=get("side", "right"),
         )
-        return from_coset_system(desc, tag=data.get("tag", "H"))
+        return from_coset_system(desc, tag=_label(get("tag", "H"), "tag"))
     if family == "congruence":
-        monoid = _json_monoid(data.get("monoid", {}), "monoid")
-        words = tuple(
-            _json_word(w, f"congruence[{k}]")
-            for k, w in enumerate(data.get("congruence", []), 1)
+        return from_right_congruence(
+            _json_monoid(get("monoid", {}), "monoid"),
+            _entries(get("congruence", []), "congruence", *_WORD),
+            tag=_label(get("tag", "H"), "tag"),
         )
-        return from_right_congruence(monoid, words, tag=data.get("tag", "H"))
     if family == "quotient":
-        pairs = []
-        for k, entry in enumerate(data.get("pairs", []), 1):
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise PresentationError(f"pairs[{k}]: expected a pair of points")
-            pairs.append((entry[0], entry[1]))
-        monoid = _json_monoid(data["monoid"], "monoid") if "monoid" in data else None
-        action = _json_action(data["action"], "action") if "action" in data else None
+        pairs = _entries(get("pairs", []), "pairs", _shape(_is_label, _is_label),
+                         "a pair of points")
         return from_relation_quotient(
-            _json_strings(data.get("points", ()), "points"), pairs,
-            monoid=monoid, action=action,
+            _labels(get("points", []), "points"), pairs,
+            monoid=_json_monoid(data["monoid"], "monoid") if "monoid" in data else None,
+            action=_mapping(data["action"], "action", *_WORD) if "action" in data else None,
         )
     if family == "orbits":
-        if data.get("variant", "plain") == "conjugation":
-            group = _json_monoid(data.get("group", {}), "group")
-            elements = tuple(
-                _json_word(w, f"elements[{k}]")
-                for k, w in enumerate(data.get("elements", []), 1)
-            )
-            inverses = {
-                g: _json_word(w, f"inverses.{g}")
-                for g, w in data.get("inverses", {}).items()
-            }
-            labels = data.get("labels")
+        variant = get("variant", "plain")
+        if variant == "conjugation":
+            labels = get("labels")
             desc = conjugation_action(
-                group, elements, inverses,
-                labels=_json_strings(labels, "labels") if labels is not None else None,
+                _json_monoid(get("group", {}), "group"),
+                _entries(get("elements", []), "elements", *_WORD),
+                _mapping(get("inverses", {}), "inverses", *_WORD),
+                labels=None if labels is None else _labels(labels, "labels"),
+            )
+        elif variant == "plain":
+            desc = ActionDesc(
+                monoid=_json_monoid(get("monoid", {}), "monoid"),
+                points=_labels(get("points", []), "points"),
+                action=_mapping(get("action", {}), "action", *_WORD),
             )
         else:
-            desc = ActionDesc(
-                monoid=_json_monoid(data.get("monoid", {}), "monoid"),
-                points=_json_strings(data.get("points", ()), "points"),
-                action=_json_action(data.get("action", {}), "action"),
-            )
+            raise PresentationError('variant: expected "plain" or "conjugation"')
         return from_action_orbits(desc)
     if family == "colimit":
-        arrows = []
-        for k, entry in enumerate(data.get("arrows", []), 1):
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise PresentationError(f"arrows[{k}]: expected [src, tgt]")
-            arrows.append((entry[0], entry[1]))
-        x_sets = [_json_strings(xs, f"xObjects[{i}]")
-                  for i, xs in enumerate(data.get("xObjects", []), 1)]
-        x_maps = [_json_strings(xs, f"xArrows[{k}]")
-                  for k, xs in enumerate(data.get("xArrows", []), 1)]
-        objects = data.get("objects")
-        return from_colimit_diagram(arrows, x_sets, x_maps, objects=objects)
+        objects = get("objects")
+        return from_colimit_diagram(
+            _entries(get("arrows", []), "arrows", _shape(_is_int, _is_int), "[src, tgt]"),
+            _entries(get("xObjects", []), "xObjects", *_WORD),
+            _entries(get("xArrows", []), "xArrows", *_WORD),
+            objects=None if objects is None else _ints(objects, "objects"),
+        )
     if family == "induced":
         return from_group_morphism(
-            source=_json_monoid(data.get("source", {}), "source"),
-            target=_json_monoid(data.get("target", {}), "target"),
-            gen_images={g: _json_word(w, f"morphism.{g}")
-                        for g, w in data.get("morphism", {}).items()},
-            points=_json_strings(data.get("points", ()), "points"),
-            action=_json_action(data.get("action", {}), "action"),
+            source=_json_monoid(get("source", {}), "source"),
+            target=_json_monoid(get("target", {}), "target"),
+            gen_images=_mapping(get("morphism", {}), "morphism", *_WORD),
+            points=_labels(get("points", []), "points"),
+            action=_mapping(get("action", {}), "action", *_WORD),
         )
     raise PresentationError(f"unknown encoding family {family!r}")

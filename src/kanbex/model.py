@@ -260,6 +260,9 @@ def validate_presentation(p: KanPresentation) -> ValidationReport:
         if not a.label:
             v.append(f"ArrB[{k}]: missing label")
             continue
+        if not isinstance(a.label, str):
+            v.append(f"ArrB[{k}]: label {a.label!r} is not a string")
+            continue
         if a.label in seen_labels:
             v.append(f"ArrB[{k}]: duplicate label {a.label!r} (also ArrB[{seen_labels[a.label]}])")
         seen_labels[a.label] = k
@@ -304,6 +307,9 @@ def validate_presentation(p: KanPresentation) -> ValidationReport:
     all_x: dict[str, int] = {}
     for i, xs in enumerate(p.x_ob_a, 1):
         for x in xs:
+            if not isinstance(x, str):
+                v.append(f"XObA[{i}]: element label {x!r} is not a string")
+                continue
             if not x:
                 v.append(f"XObA[{i}]: empty element label")
             elif x in all_x:
@@ -321,12 +327,12 @@ def validate_presentation(p: KanPresentation) -> ValidationReport:
             if s not in p.ob_a_index or t not in p.ob_a_index:
                 continue
             src_xs = p.x_ob_a[p.ob_a_index[s]]
-            tgt_xs = set(p.x_ob_a[p.ob_a_index[t]])
+            tgt_xs = {x for x in p.x_ob_a[p.ob_a_index[t]] if isinstance(x, str)}
             if len(images) != len(src_xs):
                 v.append(f"XArrA[{k}]: expected {len(src_xs)} images, got {len(images)}")
                 continue
             for j, img in enumerate(images, 1):
-                if img not in tgt_xs:
+                if not isinstance(img, str) or img not in tgt_xs:
                     v.append(f"XArrA[{k}][{j}]: image {img!r} is not an element at the target object")
 
     return ValidationReport(tuple(v))
@@ -349,21 +355,118 @@ PRESENTATION_FIELDS = (
 )
 
 
-def _want_list(data: Mapping, field: str) -> list:
+# Readers of JSON values: each returns the value it checks, or raises a
+# PresentationError that names the field.
+
+def _is_int(x) -> bool:
+    # bool is a subclass of int, but true is not an object id
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_label(x) -> bool:
+    return isinstance(x, str)
+
+
+def _is_labels(x) -> bool:
+    return isinstance(x, list) and all(isinstance(y, str) for y in x)
+
+
+def _any(x) -> bool:
+    return True
+
+
+def _shape(*items):
+    """A test for a fixed-length array whose i-th item passes ``items[i]``."""
+    return lambda x: (isinstance(x, list) and len(x) == len(items)
+                      and all(ok(y) for ok, y in zip(items, x)))
+
+
+def _array(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise PresentationError(f"{where}: expected an array")
+    return value
+
+
+def _label(value, where: str) -> str:
+    if not _is_label(value):
+        raise PresentationError(f"{where}: expected a label")
+    return value
+
+
+def _labels(value, where: str) -> tuple[str, ...]:
+    if not _is_labels(value):
+        raise PresentationError(f"{where}: expected an array of labels")
+    return tuple(value)
+
+
+def _ints(value, where: str) -> tuple[int, ...]:
+    if not all(_is_int(x) for x in _array(value, where)):
+        raise PresentationError(f"{where}: expected integers")
+    return tuple(value)
+
+
+def _entries(value, where: str, ok, what: str) -> list:
+    """An array whose every entry passes ``ok``; ``what`` describes an entry."""
+    for k, entry in enumerate(_array(value, where), 1):
+        if not ok(entry):
+            raise PresentationError(f"{where}[{k}]: expected {what}")
+    return value
+
+
+def _mapping(value, where: str, ok=_any, what: str = "") -> Mapping:
+    """A JSON object whose every value passes ``ok``."""
+    if not isinstance(value, Mapping):
+        raise PresentationError(f"{where}: expected an object")
+    for key, item in value.items():
+        if not ok(item):
+            raise PresentationError(f"{where}.{key}: expected {what}")
+    return value
+
+
+def _parse_json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise PresentationError(f"invalid JSON: {e}") from e
+
+
+def _read_json(path):
+    """The JSON value in a file; bytes that are not UTF-8 and text that is
+    not JSON raise PresentationError, a file that cannot be read OSError."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise PresentationError(f"not UTF-8 text: {e.reason} at byte {e.start}") from e
+    return _parse_json(text)
+
+
+def _required(data: Mapping, field: str):
     if field not in data:
         raise PresentationError(f"missing field {field!r}")
-    value = data[field]
-    if not isinstance(value, list):
-        raise PresentationError(f"{field}: expected an array")
-    return value
+    return data[field]
+
+
+def _relation(lhs: Path | None, rhs: Path | None, where: str,
+              source: int | None = None) -> tuple[Path, Path]:
+    """A relation's sides, an empty side (None) standing for the identity at
+    the other side's source, or at ``source`` when both sides are empty."""
+    if lhs is None and rhs is None:
+        if source is None:
+            raise PresentationError(f"{where}: both sides are empty")
+        lhs = Path(source)
+    if lhs is None:
+        lhs = Path(rhs.source)  # type: ignore[union-attr]
+    return lhs, rhs if rhs is not None else Path(lhs.source)
 
 
 def _parse_json_path(obj, by_label, where: str, fallback_source: int | None = None) -> Path:
     if isinstance(obj, dict):
-        if set(obj) != {"id"} or not isinstance(obj["id"], int):
+        if set(obj) != {"id"} or not _is_int(obj["id"]):
             raise PresentationError(f'{where}: identity path must be {{"id": <object>}}')
         return Path(obj["id"])
-    if not isinstance(obj, list) or not all(isinstance(x, str) for x in obj):
+    if not _is_labels(obj):
         raise PresentationError(f"{where}: expected an array of labels or {{\"id\": <object>}}")
     return path_from_labels(obj, by_label, source=None if obj else fallback_source, where=where)
 
@@ -377,48 +480,27 @@ def presentation_from_json(data: Mapping) -> KanPresentation:
     if not isinstance(data, Mapping):
         raise PresentationError("presentation must be a JSON object")
 
-    ob_a = _want_list(data, "ObA")
-    if not all(isinstance(o, int) for o in ob_a):
-        raise PresentationError("ObA: expected integers")
-    arr_a = []
-    for k, entry in enumerate(_want_list(data, "ArrA"), 1):
-        if (not isinstance(entry, list) or len(entry) != 2
-                or not all(isinstance(x, int) for x in entry)):
-            raise PresentationError(f"ArrA[{k}]: expected [src, tgt] integer pair")
-        arr_a.append((entry[0], entry[1]))
-    ob_b = _want_list(data, "ObB")
-    if not all(isinstance(o, int) for o in ob_b):
-        raise PresentationError("ObB: expected integers")
-    arr_b = []
-    for k, entry in enumerate(_want_list(data, "ArrB"), 1):
-        if (not isinstance(entry, list) or len(entry) != 3
-                or not isinstance(entry[0], str)
-                or not all(isinstance(x, int) for x in entry[1:])):
-            raise PresentationError(f"ArrB[{k}]: expected [label, src, tgt]")
-        arr_b.append(Arrow(entry[0], entry[1], entry[2]))
+    ob_a = _ints(_required(data, "ObA"), "ObA")
+    arr_a = _entries(_required(data, "ArrA"), "ArrA", _shape(_is_int, _is_int),
+                     "[src, tgt] integer pair")
+    ob_b = _ints(_required(data, "ObB"), "ObB")
+    arr_b = [Arrow(*entry) for entry in _entries(
+        _required(data, "ArrB"), "ArrB", _shape(_is_label, _is_int, _is_int), "[label, src, tgt]")]
     by_label = {a.label: a for a in arr_b}
 
     rel_b = []
-    for k, entry in enumerate(_want_list(data, "RelB"), 1):
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise PresentationError(f"RelB[{k}]: expected a pair of paths")
-        lhs_raw, rhs_raw = entry
-        # an empty-array side borrows its source from the other side
-        lhs_probe = _parse_json_path(lhs_raw, by_label, f"RelB[{k}].lhs") \
-            if lhs_raw else None
-        rhs_probe = _parse_json_path(rhs_raw, by_label, f"RelB[{k}].rhs") \
-            if rhs_raw else None
-        if lhs_probe is None and rhs_probe is None:
-            raise PresentationError(f"RelB[{k}]: both sides are empty arrays; use {{\"id\": <object>}}")
-        lhs = lhs_probe if lhs_probe is not None else Path(rhs_probe.source)  # type: ignore[union-attr]
-        rhs = rhs_probe if rhs_probe is not None else Path(lhs.source)
-        rel_b.append((lhs, rhs))
+    for k, (lhs, rhs) in enumerate(_entries(
+            _required(data, "RelB"), "RelB", _shape(_any, _any), "a pair of paths"), 1):
+        where = f"RelB[{k}]"
+        rel_b.append(_relation(
+            _parse_json_path(lhs, by_label, f"{where}.lhs") if lhs else None,
+            _parse_json_path(rhs, by_label, f"{where}.rhs") if rhs else None,
+            where,
+        ))
 
-    f_ob_a = _want_list(data, "FObA")
-    if not all(isinstance(o, int) for o in f_ob_a):
-        raise PresentationError("FObA: expected integers")
+    f_ob_a = _ints(_required(data, "FObA"), "FObA")
     f_arr_a = []
-    for k, entry in enumerate(_want_list(data, "FArrA"), 1):
+    for k, entry in enumerate(_array(_required(data, "FArrA"), "FArrA"), 1):
         fallback = None
         if isinstance(entry, list) and not entry:
             # identity image: source is the F-image of the arrow's source
@@ -428,27 +510,18 @@ def presentation_from_json(data: Mapping) -> KanPresentation:
                     fallback = f_ob_a[ob_a.index(s)]
         f_arr_a.append(_parse_json_path(entry, by_label, f"FArrA[{k}]", fallback))
 
-    x_ob_a = []
-    for i, entry in enumerate(_want_list(data, "XObA"), 1):
-        if not isinstance(entry, list) or not all(isinstance(x, str) for x in entry):
-            raise PresentationError(f"XObA[{i}]: expected an array of labels")
-        x_ob_a.append(tuple(entry))
-    x_arr_a = []
-    for k, entry in enumerate(_want_list(data, "XArrA"), 1):
-        if not isinstance(entry, list) or not all(isinstance(x, str) for x in entry):
-            raise PresentationError(f"XArrA[{k}]: expected an array of labels")
-        x_arr_a.append(tuple(entry))
-
     return KanPresentation(
-        ob_a=tuple(ob_a),
-        arr_a=tuple(arr_a),
-        ob_b=tuple(ob_b),
+        ob_a=ob_a,
+        arr_a=tuple((s, t) for s, t in arr_a),
+        ob_b=ob_b,
         arr_b=tuple(arr_b),
         rel_b=tuple(rel_b),
-        f_ob_a=tuple(f_ob_a),
+        f_ob_a=f_ob_a,
         f_arr_a=tuple(f_arr_a),
-        x_ob_a=tuple(x_ob_a),
-        x_arr_a=tuple(x_arr_a),
+        x_ob_a=tuple(map(tuple, _entries(
+            _required(data, "XObA"), "XObA", _is_labels, "an array of labels"))),
+        x_arr_a=tuple(map(tuple, _entries(
+            _required(data, "XArrA"), "XArrA", _is_labels, "an array of labels"))),
     )
 
 
@@ -472,13 +545,8 @@ def presentation_to_json(p: KanPresentation) -> dict:
 
 
 def parse_presentation(text: str) -> KanPresentation:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise PresentationError(f"invalid JSON: {e}") from e
-    return presentation_from_json(data)
+    return presentation_from_json(_parse_json(text))
 
 
 def load_presentation(path) -> KanPresentation:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_presentation(fh.read())
+    return presentation_from_json(_read_json(path))

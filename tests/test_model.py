@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kanbex import (
+    Arrow,
     CompositionError,
     KanPresentation,
     Path,
@@ -81,6 +83,20 @@ def test_wrong_image_set_size_is_reported(demo_pres):
     )
     report = validate_presentation(bad)
     assert any(v.startswith("XArrA[1]") for v in report.violations)
+
+
+def test_non_string_labels_are_reported(demo_pres):
+    # a first letter that is not a str would read as an arrow code in the
+    # rule core, so validation is where such a tag has to stop
+    for tag in (1, 2.0, ["x1"]):
+        bad = dataclasses.replace(demo_pres, x_ob_a=((tag, "x2", "x3"), ("y1", "y2")))
+        assert f"XObA[1]: element label {tag!r} is not a string" in \
+            validate_presentation(bad).violations
+    bad = dataclasses.replace(demo_pres, x_arr_a=((1, "y2", "y1"), ("x1", "x2")))
+    assert "XArrA[1][1]: image 1 is not an element at the target object" in \
+        validate_presentation(bad).violations
+    bad = dataclasses.replace(demo_pres, arr_b=(Arrow(7, 1, 2), *demo_pres.arr_b[1:]))
+    assert "ArrB[1]: label 7 is not a string" in validate_presentation(bad).violations
 
 
 # --- composition ---
