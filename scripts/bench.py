@@ -22,6 +22,11 @@ the revision's by no more than the metric's bound, taken as a fraction
 of the revision's median, and null (unresolved) when the revision's
 interquartile range is itself wider than that bound.  Every run's
 ``correct`` and ``failed`` are kept.
+
+After the paired runs of a workload, one ``--trace 1`` run per side on
+the first seed gives its per-layer metrics, kept under ``layers``: each
+side's value and the working tree's over the revision's.  They come
+from one run each and are not gated.
 """
 
 from __future__ import annotations
@@ -60,10 +65,10 @@ def export(rev: str, into: Path) -> str:
     return sha
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     proc = subprocess.run(
         [sys.executable, str(tree / "kanbench" / "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         return {"correct": False, "failed": None, "metrics": {}, "error": proc.stderr[-2000:]}
@@ -102,6 +107,18 @@ def compare(metric: dict, base: list[dict], change: list[dict]) -> dict:
     }
 
 
+def layers(base: dict, change: dict) -> dict:
+    """The per-layer metrics of one traced run per side."""
+    metrics = {}
+    for name in {**base["metrics"], **change["metrics"]}:
+        b, c = base["metrics"].get(name), change["metrics"].get(name)
+        old, new = b and b["value"], c and c["value"]
+        metrics[name] = {"unit": (b or c)["unit"], "base": old, "change": new,
+                         "ratio": new / old if old and new is not None else None}
+    return {"correct": {"base": base["correct"], "change": change["correct"]},
+            "metrics": metrics}
+
+
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -131,6 +148,8 @@ def main(argv=None) -> int:
                 "runs": {side: [{"seed": seed, "correct": r["correct"], "failed": r["failed"]}
                                 for seed, r in zip(args.seeds, rs)]
                          for side, rs in runs.items()},
+                "layers": layers(*(run_once(tree, workload, args.seeds[0], seconds, trace=1)
+                                   for tree in (base_tree, ROOT))),
             }
     args.output.write_text(json.dumps(out, indent=2) + "\n", encoding="utf-8")
     return 0

@@ -235,7 +235,7 @@ def _cmd_enumerate(args) -> int:
         print(f"total={tables.total} status={tables.status.value}")
         return EXIT_LIMIT
     for obj in pres.ob_b:
-        names = ", ".join(format_term(nf.term) for nf in tables.elements.get(obj, ()))
+        names = ", ".join([format_term(nf.term) for nf in tables.elements.get(obj, ())])
         print(f"KB{obj}: {names}")
     print(f"total={tables.total} status={tables.status.value}")
     return EXIT_OK

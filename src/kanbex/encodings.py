@@ -79,6 +79,24 @@ def _finish(pres: KanPresentation) -> KanPresentation:
     return pres
 
 
+def _relations(
+    relations: Sequence[tuple[Sequence[str], Sequence[str]]],
+    by_label: Mapping[str, Arrow],
+    source: int | None,
+) -> tuple[tuple[Path, Path], ...]:
+    """Relation paths from label words: an empty word is the identity at
+    the other side's source, or at ``source`` when both words are empty."""
+
+    def side(labels: Sequence[str], where: str) -> Path | None:
+        return path_from_labels(tuple(labels), by_label, where=where) if labels else None
+
+    return tuple(
+        _relation(side(lhs, f"relation {k} lhs"), side(rhs, f"relation {k} rhs"),
+                  f"relation {k}", source=source)
+        for k, (lhs, rhs) in enumerate(relations, 1)
+    )
+
+
 def _one_object_delta(desc: MonoidPresentationDesc):
     """Arrows and resolved relation paths for a one-object graph."""
     arrows = tuple(Arrow(g, 1, 1) for g in desc.generators)
@@ -87,11 +105,7 @@ def _one_object_delta(desc: MonoidPresentationDesc):
     def word_path(w: Sequence[str], where: str) -> Path:
         return path_from_labels(tuple(w), by_label, source=1, where=where)
 
-    rels = tuple(
-        (word_path(l, f"relation {k} lhs"), word_path(r, f"relation {k} rhs"))
-        for k, (l, r) in enumerate(desc.relations, 1)
-    )
-    return arrows, rels, word_path
+    return arrows, _relations(desc.relations, by_label, 1), word_path
 
 
 def from_monoid_presentation(desc: MonoidPresentationDesc, point: str = "e") -> KanPresentation:
@@ -125,14 +139,7 @@ def from_category_presentation(
     if len(points) != len(obs):
         raise PresentationError(f"expected {len(obs)} point labels, got {len(points)}")
 
-    def side(labels: Sequence[str], where: str) -> Path | None:
-        return path_from_labels(tuple(labels), by_label, where=where) if labels else None
-
-    rels = tuple(
-        _relation(side(lhs, f"relation {k} lhs"), side(rhs, f"relation {k} rhs"),
-                  f"relation {k}", source=obs[0] if len(obs) == 1 else None)
-        for k, (lhs, rhs) in enumerate(relations, 1)
-    )
+    rels = _relations(relations, by_label, obs[0] if len(obs) == 1 else None)
     return _finish(KanPresentation(
         ob_a=obs, arr_a=(),
         ob_b=obs, arr_b=arrs, rel_b=rels,

@@ -85,30 +85,33 @@ def enumerate_extension(
     idx = system._index
     root = idx.root
 
-    found: list[Term] = []
+    # each normal form with its target object
+    found: list[tuple[Term, int]] = []
     exceeded = False
 
-    # each stage term carries its automaton state (see _extension_reducible)
-    stage: list[tuple[Term, list]] = []
+    # each stage term carries its target and its automaton state (see
+    # _extension_reducible)
+    stage: list[tuple[Term, int, list]] = []
     for x in sorted(pres.x_labels, key=lambda l: order.x_rank[l]):
-        t = Term(x, Path.identity(pres.tag_source(x)))
+        source = pres.tag_source(x)
+        t = Term(x, Path.identity(source))
         side = idx.encode(t)
         if _reduce_term(side, idx) != side:
             continue
         if len(found) >= limit:
             exceeded = True
             break
-        found.append(t)
-        stage.append((t, _goto(root, x)))
+        found.append((t, source))
+        stage.append((t, source, _goto(root, x)))
 
-    arrows_by_src: dict[int, list[tuple[Arrow, int]]] = {}
+    arrows_by_src: dict[int, list[tuple[Arrow, int, int]]] = {}
     for a in sorted(pres.arr_b, key=lambda a: order.delta_rank[a.label]):
-        arrows_by_src.setdefault(a.src, []).append((a, idx.intern((a,))[0]))
+        arrows_by_src.setdefault(a.src, []).append((a, idx.intern((a,))[0], a.tgt))
 
     while stage and not exceeded:
-        next_stage: list[tuple[Term, list]] = []
-        for t, state in stage:
-            for arrow, code in arrows_by_src.get(t.target, ()):
+        next_stage: list[tuple[Term, int, list]] = []
+        for t, target, state in stage:
+            for arrow, code, tgt in arrows_by_src.get(target, ()):
                 ext_state = _extension_reducible(state, code)
                 if ext_state is None:
                     continue
@@ -116,15 +119,15 @@ def enumerate_extension(
                     exceeded = True
                     break
                 ext = Term(t.tag, Path(t.path.source, t.path.arrows + (arrow,)))
-                found.append(ext)
-                next_stage.append((ext, ext_state))
+                found.append((ext, tgt))
+                next_stage.append((ext, tgt, ext_state))
             if exceeded:
                 break
         stage = next_stage
 
     elements: dict[int, list[NormalForm]] = {obj: [] for obj in pres.ob_b}
-    for t in found:
-        elements[t.target].append(NormalForm(t))
+    for t, target in found:
+        elements[target].append(NormalForm(t))
     return KanTables(
         status=EnumerationStatus.LIMIT_EXCEEDED if exceeded else EnumerationStatus.FINITE,
         elements={obj: tuple(nfs) for obj, nfs in elements.items()},

@@ -59,7 +59,7 @@ class Path:
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return tuple(a.label for a in self.arrows)  # type: ignore[misc]
+        return tuple([a.label for a in self.arrows])  # type: ignore[misc]
 
     @property
     def is_identity(self) -> bool:
@@ -345,7 +345,7 @@ def format_path(p: Path) -> str:
 
 
 def format_term(t: Term) -> str:
-    return "*".join(term_as_list(t))
+    return "*".join([t.tag] + [a.label for a in t.path.arrows])  # type: ignore[misc]
 
 
 # --- JSON input/output ---
@@ -492,9 +492,10 @@ def presentation_from_json(data: Mapping) -> KanPresentation:
     for k, (lhs, rhs) in enumerate(_entries(
             _required(data, "RelB"), "RelB", _shape(_any, _any), "a pair of paths"), 1):
         where = f"RelB[{k}]"
+        # only [] is an empty side; any other value is read as a path
         rel_b.append(_relation(
-            _parse_json_path(lhs, by_label, f"{where}.lhs") if lhs else None,
-            _parse_json_path(rhs, by_label, f"{where}.rhs") if rhs else None,
+            None if lhs == [] else _parse_json_path(lhs, by_label, f"{where}.lhs"),
+            None if rhs == [] else _parse_json_path(rhs, by_label, f"{where}.rhs"),
             where,
         ))
 

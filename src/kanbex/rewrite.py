@@ -450,6 +450,19 @@ def complete(
     seen = set(rules)
     added = 0
     passes = 0
+    # a reduction depends only on the side and the rules, so each side is
+    # reduced once per rule set: ``memo`` maps a side to its normal form
+    # until the next rule goes in, and ``forms`` holds each such normal
+    # form once, so equal ones share one tuple
+    memo: dict[tuple, tuple] = {}
+    forms: dict[tuple, tuple] = {}
+
+    def normal_form(side: tuple, reduce) -> tuple:
+        nf = memo.get(side)
+        if nf is None:
+            nf = reduce(side, idx)
+            nf = memo[side] = forms.setdefault(nf, nf)
+        return nf
 
     def stop(reason: str) -> CompletionResult:
         return CompletionResult(CompletionStatus.LIMIT_EXCEEDED, reason,
@@ -466,7 +479,7 @@ def complete(
         for _, _, left, right in pairs:
             term = _is_term(left[1])
             reduce = _reduce_term if term else _reduce_path
-            rule = _oriented(reduce(left, idx), reduce(right, idx), x_rank)
+            rule = _oriented(normal_form(left, reduce), normal_form(right, reduce), x_rank)
             if rule is None or rule in seen:
                 continue
             if max_rule_length is not None and len(rule[1]) > max_rule_length:
@@ -474,6 +487,8 @@ def complete(
             seen.add(rule)
             (terms if term else paths).append(rule)
             idx.add(rule)
+            memo.clear()
+            forms.clear()
             added += 1
             grew = True
             if len(terms) + len(paths) > max_rules:

@@ -101,18 +101,20 @@ def _bundled(family, name):
 
 
 # calls to each stamped reduction per step, on a problem with term and
-# path rules and on one with path rules only (recorded before critical
-# pairs were found on coded words); the benchmark's segments line up
-# between two versions only while these counts stay the same
+# path rules and on one with path rules only; the benchmark's segments
+# line up between two versions only while these counts stay the same.
+# The "complete" rows count each pair side once per rule set (see
+# test_complete_reduces_each_side_once_per_rule_set); the others were
+# recorded before critical pairs were found on coded words
 REDUCTIONS = {
     "cosets_csq.json": {
-        "complete": {"_reduce_path": 3984, "_reduce_term": 1652},
+        "complete": {"_reduce_path": 1844, "_reduce_term": 455},
         "interreduce": {"_reduce_path": 622, "_reduce_term": 488},
         "check_confluence": {"_reduce_path": 524, "_reduce_term": 164},
         "enumerate_extension": {"_reduce_path": 524, "_reduce_term": 164},
     },
     "coxeter4": {
-        "complete": {"_reduce_path": 60},
+        "complete": {"_reduce_path": 44},
         "interreduce": {"_reduce_path": 14},
         "check_confluence": {"_reduce_path": 36},
         "enumerate_extension": {"_reduce_path": 36},
@@ -146,6 +148,62 @@ def test_reductions_call_the_stamped_functions(monkeypatch):
         enumerate_extension(pres, system)
         steps["enumerate_extension"] = dict(Counter(calls))
     assert got == REDUCTIONS
+
+
+def test_complete_reduces_each_side_once_per_rule_set(monkeypatch):
+    # a pair side is reduced only the first time it comes up since the
+    # last rule went in: the stamped calls are the distinct (side, rules
+    # added so far) among the sides of the pairs the passes read
+    events = []
+    passes = []
+    critical_pairs, oriented, add = rewrite._critical_pairs, rewrite._oriented, rewrite._RuleIndex.add
+
+    def logged_pairs(rules):
+        # complete sorts this list in place, so it ends up in read order
+        passes.append(critical_pairs(rules))
+        return passes[-1]
+
+    def logged_oriented(*args):
+        events.append(("pair",))
+        return oriented(*args)
+
+    def logged_add(self, rule):
+        events.append(("add",))
+        return add(self, rule)
+
+    def logged_reduce(fn):
+        def reduce(side, idx):
+            events.append(("reduce", side))
+            return fn(side, idx)
+        return reduce
+
+    monkeypatch.setattr(rewrite, "_critical_pairs", logged_pairs)
+    monkeypatch.setattr(rewrite, "_oriented", logged_oriented)
+    monkeypatch.setattr(rewrite._RuleIndex, "add", logged_add)
+    for attr in ("_reduce_path", "_reduce_term"):
+        monkeypatch.setattr(rewrite, attr, logged_reduce(getattr(rewrite, attr)))
+    problems = [_bundled("cosets", "cosets_csq.json"), _bundled(None, "infinite_extension.json"),
+                from_monoid_presentation(coxeter(4))]
+    for pres in problems:
+        events.clear()
+        passes.clear()
+        order = OrderSpec.from_presentation(pres)
+        complete(initial_rules(pres, order), order, interreduce_after=False)
+        # pair k of a pass is read at that pass's k-th "pair" event
+        read = iter(cp for pairs in passes for cp in pairs)
+        added = 0
+        sides = set()
+        reduced = []
+        for event in events:
+            if event[0] == "pair":
+                _, _, left, right = next(read)
+                sides |= {(left, added), (right, added)}
+            elif event[0] == "add":
+                added += 1
+            else:
+                reduced.append((event[1], added))
+        assert len(reduced) == len(set(reduced)) == len(sides)
+        assert set(reduced) == sides
 
 
 # one-arrow extensions tried while enumerating each problem, and the

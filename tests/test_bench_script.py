@@ -1,6 +1,8 @@
-"""The gain and bound rules of ``scripts/bench.py``'s comparison."""
+"""The gain and bound rules of ``scripts/bench.py``'s comparison, and its
+per-layer record."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 _spec = importlib.util.spec_from_file_location(
@@ -44,3 +46,39 @@ def test_a_base_spread_wider_than_the_bound_leaves_the_bound_unresolved():
     wide = [run(1.0 + 0.1 * k) for k in range(10)]
     assert bench.compare(METRIC, wide, FASTER)["within_bound"] is None
     assert bench.compare(METRIC, BASE, [run(1.5) for _ in range(10)])["within_bound"] is False
+
+
+def traced(correct=True, **values):
+    return {"correct": correct, "failed": 0,
+            "metrics": {name: {"value": v, "unit": "s"} for name, v in values.items()}}
+
+
+def test_layers_keep_each_side_and_the_ratio():
+    got = bench.layers(traced(a=2.0, b=1.0), traced(a=1.0, c=3.0))
+    assert got["correct"] == {"base": True, "change": True}
+    assert got["metrics"] == {
+        "a": {"unit": "s", "base": 2.0, "change": 1.0, "ratio": 0.5},
+        "b": {"unit": "s", "base": 1.0, "change": None, "ratio": None},
+        "c": {"unit": "s", "base": None, "change": 3.0, "ratio": None},
+    }
+    crashed = {"correct": False, "failed": None, "metrics": {}}
+    assert bench.layers(crashed, traced(a=1.0))["correct"] == {"base": False, "change": True}
+
+
+def test_each_workload_gets_one_traced_run_per_side_on_the_first_seed(monkeypatch, tmp_path):
+    calls = []
+
+    def run_once(tree, workload, seed, seconds, trace=0):
+        calls.append((tree == bench.ROOT, workload, seed, trace))
+        return traced(t=1.0)
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    monkeypatch.setattr(bench, "export", lambda rev, into: "0" * 40)
+    out = tmp_path / "bench.json"
+    assert bench.main(["--seeds", "5-7", "-o", str(out)]) == 0
+    result = json.loads(out.read_text())
+    for name, workload in result["workloads"].items():
+        runs = [c for c in calls if c[1] == name]
+        assert sorted(c[2] for c in runs if not c[3]) == [5, 5, 6, 6, 7, 7]
+        assert sorted((c[0], c[2]) for c in runs if c[3]) == [(False, 5), (True, 5)]
+        assert workload["layers"]["metrics"]["t"]["ratio"] == 1.0
