@@ -25,8 +25,10 @@ interquartile range is itself wider than that bound.  Every run's
 
 After the paired runs of a workload, one ``--trace 1`` run per side on
 the first seed gives its per-layer metrics, kept under ``layers``: each
-side's value and the working tree's over the revision's.  They come
-from one run each and are not gated.
+side's value and, for counts and ratios, the working tree's over the
+revision's.  A time (unit ``s``) gets no ratio (null): each side's comes
+from one run, not scaled to the host's speed, so the two differ with
+the host as much as with the code.  The layers are not gated.
 """
 
 from __future__ import annotations
@@ -108,13 +110,14 @@ def compare(metric: dict, base: list[dict], change: list[dict]) -> dict:
 
 
 def layers(base: dict, change: dict) -> dict:
-    """The per-layer metrics of one traced run per side."""
+    """The per-layer metrics of one traced run per side; times get no ratio."""
     metrics = {}
     for name in {**base["metrics"], **change["metrics"]}:
         b, c = base["metrics"].get(name), change["metrics"].get(name)
         old, new = b and b["value"], c and c["value"]
-        metrics[name] = {"unit": (b or c)["unit"], "base": old, "change": new,
-                         "ratio": new / old if old and new is not None else None}
+        unit = (b or c)["unit"]
+        metrics[name] = {"unit": unit, "base": old, "change": new,
+                         "ratio": new / old if old and new is not None and unit != "s" else None}
     return {"correct": {"base": base["correct"], "change": change["correct"]},
             "metrics": metrics}
 

@@ -32,7 +32,7 @@ def run(descriptor: str):
     for line in format_system(result.system, order):
         print("  " + line)
     tables = enumerate_extension(pres, result.system, limit=50)
-    reps = ", ".join(format_term(nf.term) for nf in tables.elements[1])
+    reps = ", ".join(format_term(t) for t in tables.elements[1])
     print(f"  cosets ({tables.status.value}): {reps}\n")
 
 

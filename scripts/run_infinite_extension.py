@@ -10,7 +10,6 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from kanbex import (
     EnumerationStatus,
-    NormalForm,
     OrderSpec,
     Path,
     act,
@@ -46,11 +45,11 @@ def main():
     print(f"\nenumeration: {tables.status.value} after {tables.total} elements"
           " (the extension sets are infinite)")
 
-    element = NormalForm(list_as_term(["x1", "b5", "b3", "b4", "b4", "b5"], pres))
+    element = list_as_term(["x1", "b5", "b3", "b4", "b4", "b5"], pres)
     b3 = Path(3, (pres.arrow_by_label["b3"],))
     moved = act(element, b3, result.system)
-    print(f"\nacting on {format_term(element.term)} by b3 gives "
-          f"{format_term(moved.term)} over object {tau_bar(moved)}")
+    print(f"\nacting on {format_term(element)} by b3 gives "
+          f"{format_term(moved)} over object {tau_bar(moved)}")
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ def solve(title: str, descriptor: str):
     tables = enumerate_extension(pres, result.system)
     print(title)
     print("  reduced rules:", ", ".join(sorted(format_rule(r) for r in result.system.rules)))
-    print("  representatives:", ", ".join(format_term(nf.term) for nf in tables.elements[1]))
+    print("  representatives:", ", ".join(format_term(t) for t in tables.elements[1]))
     print()
 
 

@@ -51,7 +51,6 @@ from .kan import (
     DEFAULT_LIMIT,
     EnumerationStatus,
     KanTables,
-    NormalForm,
     act,
     enumerate_extension,
     epsilon,

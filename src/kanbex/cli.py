@@ -221,8 +221,8 @@ def _cmd_enumerate(args) -> int:
             "status": tables.status.value,
             "total": tables.total,
             "elements": {
-                str(obj): [term_as_list(nf.term) for nf in nfs]
-                for obj, nfs in tables.elements.items()
+                str(obj): [term_as_list(t) for t in ts]
+                for obj, ts in tables.elements.items()
             },
         }
         payload.update(_rules_json(result.system))
@@ -235,7 +235,7 @@ def _cmd_enumerate(args) -> int:
         print(f"total={tables.total} status={tables.status.value}")
         return EXIT_LIMIT
     for obj in pres.ob_b:
-        names = ", ".join([format_term(nf.term) for nf in tables.elements.get(obj, ())])
+        names = ", ".join([format_term(t) for t in tables.elements.get(obj, ())])
         print(f"KB{obj}: {names}")
     print(f"total={tables.total} status={tables.status.value}")
     return EXIT_OK

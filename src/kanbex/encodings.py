@@ -36,8 +36,8 @@ from .model import (
     path_from_labels,
     validate_presentation,
 )
-from .ordering import OrderSpec, orient_pair
-from .rewrite import KRule, RewriteSystem, complete, reduce_path
+from .ordering import OrderSpec
+from .rewrite import complete, initial_rules, reduce_path
 
 Word = tuple[str, ...]
 
@@ -265,12 +265,11 @@ def conjugation_action(
     rules and reducing ``inverse * element * generator``.
     """
     arrows, rels, word_path = _one_object_delta(group)
+    # the group's one-object category with no points, whose initial rules
+    # are its relations, oriented; a generator listed twice is one arrow
+    pres = KanPresentation((), (), (1,), tuple(dict.fromkeys(arrows)), rels, (), (), (), ())
     order = OrderSpec(x_rank={}, delta_rank={g: i for i, g in enumerate(group.generators)})
-    oriented = [orient_pair(l, r, order) for l, r in rels]
-    result = complete(
-        RewriteSystem((), tuple(KRule(*pair) for pair in oriented if pair is not None)),
-        order,
-    )
+    result = complete(initial_rules(pres, order), order)
     if not result.complete:
         raise PresentationError("group relations did not complete; cannot derive conjugation")
     system = result.system

@@ -16,7 +16,7 @@ from typing import Mapping
 
 from .model import Arrow, CompositionError, KanPresentation, Path, Term
 from .ordering import OrderSpec
-from .rewrite import RewriteSystem, _goto, _reduce_term, check_confluence, reduce_term
+from .rewrite import RewriteSystem, _goto, check_confluence, reduce_term
 
 DEFAULT_LIMIT = 1000
 
@@ -27,22 +27,12 @@ class EnumerationStatus(enum.Enum):
 
 
 @dataclass(frozen=True)
-class NormalForm:
-    """A term irreducible with respect to the active complete system."""
-
-    term: Term
-
-    @property
-    def target(self) -> int:
-        return self.term.target
-
-
-@dataclass(frozen=True)
 class KanTables:
-    """Catalogue of normal forms keyed by their target object."""
+    """Catalogue of normal forms, the terms irreducible with respect to the
+    complete system, keyed by their target object."""
 
     status: EnumerationStatus
-    elements: Mapping[int, tuple[NormalForm, ...]]
+    elements: Mapping[int, tuple[Term, ...]]
     total: int
 
     @property
@@ -85,24 +75,26 @@ def enumerate_extension(
     idx = system._index
     root = idx.root
 
-    # each normal form with its target object
-    found: list[tuple[Term, int]] = []
+    elements: dict[int, list[Term]] = {obj: [] for obj in pres.ob_b}
+    total = 0
     exceeded = False
 
     # each stage term carries its target and its automaton state (see
-    # _extension_reducible)
+    # _extension_reducible); an empty path is never a left-hand side, so
+    # x|id is irreducible exactly when reading its tag gives no output
     stage: list[tuple[Term, int, list]] = []
     for x in sorted(pres.x_labels, key=lambda l: order.x_rank[l]):
-        source = pres.tag_source(x)
-        t = Term(x, Path.identity(source))
-        side = idx.encode(t)
-        if _reduce_term(side, idx) != side:
+        state = _goto(root, x)
+        if state[5] is not None:
             continue
-        if len(found) >= limit:
+        if total >= limit:
             exceeded = True
             break
-        found.append((t, source))
-        stage.append((t, source, _goto(root, x)))
+        source = pres.tag_source(x)
+        t = Term(x, Path.identity(source))
+        elements[source].append(t)
+        total += 1
+        stage.append((t, source, state))
 
     arrows_by_src: dict[int, list[tuple[Arrow, int, int]]] = {}
     for a in sorted(pres.arr_b, key=lambda a: order.delta_rank[a.label]):
@@ -115,45 +107,42 @@ def enumerate_extension(
                 ext_state = _extension_reducible(state, code)
                 if ext_state is None:
                     continue
-                if len(found) >= limit:
+                if total >= limit:
                     exceeded = True
                     break
                 ext = Term(t.tag, Path(t.path.source, t.path.arrows + (arrow,)))
-                found.append((ext, tgt))
+                elements[tgt].append(ext)
+                total += 1
                 next_stage.append((ext, tgt, ext_state))
             if exceeded:
                 break
         stage = next_stage
 
-    elements: dict[int, list[NormalForm]] = {obj: [] for obj in pres.ob_b}
-    for t, target in found:
-        elements[target].append(NormalForm(t))
     return KanTables(
         status=EnumerationStatus.LIMIT_EXCEEDED if exceeded else EnumerationStatus.FINITE,
-        elements={obj: tuple(nfs) for obj, nfs in elements.items()},
-        total=len(found),
+        elements={obj: tuple(ts) for obj, ts in elements.items()},
+        total=total,
     )
 
 
-def tau_bar(nf: NormalForm) -> int:
+def tau_bar(nf: Term) -> int:
     """Target object of a normal form (its path's source when identity)."""
-    return nf.term.target
+    return nf.target
 
 
-def act(nf: NormalForm, q: Path, system: RewriteSystem) -> NormalForm:
+def act(nf: Term, q: Path, system: RewriteSystem) -> Term:
     """Right action: append the path, then reduce."""
-    if q.source != nf.term.target:
+    if q.source != nf.target:
         raise CompositionError(
-            f"action source mismatch: element sits over {nf.term.target}, "
+            f"action source mismatch: element sits over {nf.target}, "
             f"path starts at {q.source}"
         )
-    return NormalForm(reduce_term(nf.term.act(q), system))
+    return reduce_term(nf.act(q), system)
 
 
-def epsilon(x: str, pres: KanPresentation, system: RewriteSystem) -> NormalForm:
+def epsilon(x: str, pres: KanPresentation, system: RewriteSystem) -> Term:
     """Image of an element under the comparison map: reduce ``x|id``."""
-    t = Term(x, Path.identity(pres.tag_source(x)))
-    return NormalForm(reduce_term(t, system))
+    return reduce_term(Term(x, Path.identity(pres.tag_source(x))), system)
 
 
 def naturality_check(pres: KanPresentation, system: RewriteSystem) -> bool:

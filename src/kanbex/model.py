@@ -30,8 +30,9 @@ class CompositionError(ValueError):
 
 @dataclass(frozen=True)
 class Arrow:
-    """A labelled graph arrow.  ``label`` is None for acting-graph arrows,
-    which are identified by position only."""
+    """A labelled arrow of the extending graph.  The acting graph's arrows
+    are unlabelled ``(src, tgt)`` pairs in ``KanPresentation.arr_a``, not
+    ``Arrow``s."""
 
     label: str | None
     src: int
@@ -428,6 +429,8 @@ def _parse_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise PresentationError(f"invalid JSON: {e}") from e
+    except RecursionError as e:
+        raise PresentationError("invalid JSON: nested too deeply") from e
 
 
 def _read_json(path):

@@ -28,7 +28,7 @@ from .model import (
     format_term,
     validate_presentation,
 )
-from .ordering import OrderSpec, orient_pair, path_sort_key, term_sort_key, word_key
+from .ordering import OrderSpec, path_sort_key, term_sort_key, word_key
 
 
 @dataclass(frozen=True)
@@ -225,12 +225,7 @@ def _rewrite(side: tuple, idx: _RuleIndex) -> tuple[int, tuple]:
 
 # Term and path reductions are the same rewrite; they keep two names so
 # that the benchmark can stamp and count each kind.
-def _reduce_term(side: tuple, idx: _RuleIndex) -> tuple:
-    return _rewrite(side, idx)
-
-
-def _reduce_path(side: tuple, idx: _RuleIndex) -> tuple:
-    return _rewrite(side, idx)
+_reduce_term = _reduce_path = _rewrite
 
 
 @dataclass(frozen=True)
@@ -304,7 +299,9 @@ def initial_rules(pres: KanPresentation, order: OrderSpec | None = None) -> Rewr
     """Build the initial system: one term rule per (arrow, element) pair,
     one path rule per relation, all oriented.
 
-    Pairs whose sides are identical are dropped; duplicates collapse.
+    Pairs whose sides are identical are dropped; duplicates collapse, the
+    first kept.  The rules are built and oriented as coded words and
+    decoded once.
     """
     report = validate_presentation(pres)
     if not report.ok:
@@ -312,33 +309,16 @@ def initial_rules(pres: KanPresentation, order: OrderSpec | None = None) -> Rewr
     if order is None:
         order = OrderSpec.from_presentation(pres)
 
-    term_rules: list[EpsRule] = []
-    seen: set = set()
+    idx = _interned(pres.arr_b, order)
+    x_rank = order.x_rank
+    rules = []
     for k, (s, t) in enumerate(pres.arr_a):
-        f_image = pres.f_arr_a[k]
-        elements = pres.x_ob_a[pres.ob_a_index[s]]
-        images = pres.x_arr_a[k]
-        tgt_identity = Path.identity(pres.f_ob_a[pres.ob_a_index[t]])
-        for x, image in zip(elements, images):
-            pair = orient_pair(Term(x, f_image), Term(image, tgt_identity), order)
-            if pair is None:
-                continue
-            rule = EpsRule(*pair)
-            if rule not in seen:
-                seen.add(rule)
-                term_rules.append(rule)
-
-    path_rules: list[KRule] = []
-    for l, r in pres.rel_b:
-        pair = orient_pair(l, r, order)
-        if pair is None:
-            continue
-        rule = KRule(*pair)
-        if rule not in seen:
-            seen.add(rule)
-            path_rules.append(rule)
-
-    return RewriteSystem(tuple(term_rules), tuple(path_rules))
+        source, word = idx.encode(pres.f_arr_a[k])
+        target = pres.f_ob_a[pres.ob_a_index[t]]
+        for x, image in zip(pres.x_ob_a[pres.ob_a_index[s]], pres.x_arr_a[k]):
+            rules.append(_oriented((source, (x,) + word), (target, (image,)), x_rank))
+    rules += [_oriented(idx.encode(l), idx.encode(r), x_rank) for l, r in pres.rel_b]
+    return _system(idx, list(dict.fromkeys(r for r in rules if r is not None)))
 
 
 def _critical_pairs(rules: list[tuple]) -> list[tuple]:
@@ -393,14 +373,21 @@ def check_confluence(system: RewriteSystem) -> bool:
     return all(resolves(cp, system) for cp in find_critical_pairs(system))
 
 
-def _ranked(system: RewriteSystem, order: OrderSpec) -> tuple[_RuleIndex, list[tuple]]:
-    """A fresh index holding ``system``'s rules, and the rules coded in
-    it.  The arrows are interned in ``order``'s rank, so that ``word_key``
-    orders the index's words as the paths and terms they code."""
+def _interned(arrows: Iterable[Arrow], order: OrderSpec) -> _RuleIndex:
+    """A fresh, empty index with ``arrows`` interned in ``order``'s rank,
+    so that ``word_key`` orders the index's words as the paths and terms
+    they code."""
     idx = _RuleIndex()
+    unique = {a.label: a for a in arrows}
+    idx.intern(tuple(sorted(unique.values(), key=lambda a: order.delta_rank[a.label])))
+    return idx
+
+
+def _ranked(system: RewriteSystem, order: OrderSpec) -> tuple[_RuleIndex, list[tuple]]:
+    """A fresh index holding ``system``'s rules, interned by ``_interned``,
+    and the rules coded in it."""
     paths = [s.path if isinstance(s, Term) else s for r in system.rules for s in (r.lhs, r.rhs)]
-    arrows = {a.label: a for p in paths for a in p.arrows}
-    idx.intern(tuple(sorted(arrows.values(), key=lambda a: order.delta_rank[a.label])))
+    idx = _interned((a for p in paths for a in p.arrows), order)
     rules = [idx.code(r) for r in system.rules]
     idx.reset(rules)
     return idx, rules

@@ -241,7 +241,7 @@ def test_criterion_06_coset_systems():
             tables = enumerate_extension(pres_b, result_b.system)
             assert tables.status is EnumerationStatus.FINITE
             assert tables.total == 2
-            assert [format_term(nf.term) for nf in tables.elements[1]] == ["H", "H*c"]
+            assert [format_term(nf) for nf in tables.elements[1]] == ["H", "H*c"]
 
         with within(30.0):
             group = from_monoid_presentation(
@@ -270,7 +270,7 @@ def test_criterion_07_orbits_and_conjugacy():
             assert rule_lines(result.system) == ["w -> v", "x -> v", "z -> y"]
             tables = enumerate_extension(pres, result.system)
             assert tables.total == 2
-            assert [format_term(nf.term) for nf in tables.elements[1]] == ["v", "y"]
+            assert [format_term(nf) for nf in tables.elements[1]] == ["v", "y"]
 
             q8 = MonoidPresentationDesc(
                 ("a", "b"),
@@ -290,7 +290,7 @@ def test_criterion_07_orbits_and_conjugacy():
             assert rule_lines(result_c.system) == ["a2b -> b", "a3 -> a", "ba -> ab"]
             tables_c = enumerate_extension(pres_c, result_c.system)
             assert tables_c.total == 5
-            assert [format_term(nf.term) for nf in tables_c.elements[1]] == \
+            assert [format_term(nf) for nf in tables_c.elements[1]] == \
                 ["id", "a", "b", "a2", "ab"]
 
 
@@ -310,7 +310,7 @@ def test_criterion_08_coequaliser():
                 ["x2 -> x1", "y1 -> x1", "y2 -> x1", "y3 -> x3"]
             tables = enumerate_extension(pres, result.system)
         assert tables.total == 3
-        assert [format_term(nf.term) for nf in tables.elements[1]] == ["x1", "x3", "y4"]
+        assert [format_term(nf) for nf in tables.elements[1]] == ["x1", "x3", "y4"]
 
 
 def test_criterion_09_property_suite():

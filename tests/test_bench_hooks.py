@@ -185,10 +185,13 @@ def test_complete_reduces_each_side_once_per_rule_set(monkeypatch):
     problems = [_bundled("cosets", "cosets_csq.json"), _bundled(None, "infinite_extension.json"),
                 from_monoid_presentation(coxeter(4))]
     for pres in problems:
+        # initial_rules orients its rules with _oriented too: build them
+        # before the log starts
+        order = OrderSpec.from_presentation(pres)
+        system = initial_rules(pres, order)
         events.clear()
         passes.clear()
-        order = OrderSpec.from_presentation(pres)
-        complete(initial_rules(pres, order), order, interreduce_after=False)
+        complete(system, order, interreduce_after=False)
         # pair k of a pass is read at that pass's k-th "pair" event
         read = iter(cp for pairs in passes for cp in pairs)
         added = 0

@@ -48,19 +48,22 @@ def test_a_base_spread_wider_than_the_bound_leaves_the_bound_unresolved():
     assert bench.compare(METRIC, BASE, [run(1.5) for _ in range(10)])["within_bound"] is False
 
 
-def traced(correct=True, **values):
+def traced(correct=True, unit="s", **values):
     return {"correct": correct, "failed": 0,
-            "metrics": {name: {"value": v, "unit": "s"} for name, v in values.items()}}
+            "metrics": {name: {"value": v, "unit": unit} for name, v in values.items()}}
 
 
 def test_layers_keep_each_side_and_the_ratio():
     got = bench.layers(traced(a=2.0, b=1.0), traced(a=1.0, c=3.0))
     assert got["correct"] == {"base": True, "change": True}
+    # one unscaled run per side: a time gets no ratio
     assert got["metrics"] == {
-        "a": {"unit": "s", "base": 2.0, "change": 1.0, "ratio": 0.5},
+        "a": {"unit": "s", "base": 2.0, "change": 1.0, "ratio": None},
         "b": {"unit": "s", "base": 1.0, "change": None, "ratio": None},
         "c": {"unit": "s", "base": None, "change": 3.0, "ratio": None},
     }
+    counts = bench.layers(traced(unit="count", n=40.0), traced(unit="count", n=30.0))
+    assert counts["metrics"]["n"] == {"unit": "count", "base": 40.0, "change": 30.0, "ratio": 0.75}
     crashed = {"correct": False, "failed": None, "metrics": {}}
     assert bench.layers(crashed, traced(a=1.0))["correct"] == {"base": False, "change": True}
 
@@ -81,4 +84,4 @@ def test_each_workload_gets_one_traced_run_per_side_on_the_first_seed(monkeypatc
         runs = [c for c in calls if c[1] == name]
         assert sorted(c[2] for c in runs if not c[3]) == [5, 5, 6, 6, 7, 7]
         assert sorted((c[0], c[2]) for c in runs if c[3]) == [(False, 5), (True, 5)]
-        assert workload["layers"]["metrics"]["t"]["ratio"] == 1.0
+        assert workload["layers"]["metrics"]["t"]["ratio"] is None

@@ -332,7 +332,9 @@ def test_coset_enumeration_json_is_byte_identical(capsys, data_dir, tmp_path):
 
 
 # sha256 of stdout and stderr, and the exit code, of CLI runs on every
-# bundled problem, recorded before the rule index became a prefix trie.
+# bundled problem, recorded before the rule index became a prefix trie
+# (the ``rules --format json`` rows: before the initial rules were built
+# on coded words).
 # Nothing rewrites tests/cli_digests.json: a change meant to alter output
 # records it again and says why.
 CLI_DIGESTS = json.loads((pathlib.Path(__file__).parent / "cli_digests.json").read_text())
@@ -347,6 +349,7 @@ BUNDLED = [
     (None, "infinite_extension.json"),  # already a presentation
 ]
 DIGESTED_RUNS = [
+    ("rules", "--format", "json"),
     ("complete",),
     ("complete", "--format", "json"),
     ("complete", "--no-interreduce", "--format", "json"),

@@ -118,6 +118,14 @@ def test_malformed_input_exits_1_naming_the_field(capsys, tmp_path, monkeypatch,
     assert (code, out, err) == (1, "", case["stderr"] + "\n")
 
 
+@pytest.mark.parametrize("argv", [("rules",), ("encode", "monoid")], ids=["rules", "encode"])
+def test_deeply_nested_json_exits_1_without_a_traceback(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "input.json").write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run_cli(capsys, *argv, "input.json")
+    assert (code, out, err) == (1, "", "kanbex: input.json: invalid JSON: nested too deeply\n")
+
+
 SCRIPT_DIGESTS = json.loads((HERE / "script_digests.json").read_text())
 
 

@@ -5,7 +5,6 @@ import pytest
 from kanbex import (
     CompositionError,
     EnumerationStatus,
-    NormalForm,
     Path,
     RewriteSystem,
     Term,
@@ -59,7 +58,7 @@ def test_enumeration_partitions_by_target(demo_pres, demo_complete):
     for obj, nfs in tables.elements.items():
         for nf in nfs:
             assert tau_bar(nf) == obj
-            assert reduce_term(nf.term, demo_complete) == nf.term
+            assert reduce_term(nf, demo_complete) == nf
 
 
 def test_enumeration_matches_bounded_closure(demo_pres, demo_complete):
@@ -67,7 +66,7 @@ def test_enumeration_matches_bounded_closure(demo_pres, demo_complete):
     # closure class, and every class of short terms has exactly one
     # enumerated representative among its members
     tables = enumerate_extension(demo_pres, demo_complete, limit=1000)
-    enumerated = {nf.term for v in tables.elements.values() for nf in v}
+    enumerated = {nf for v in tables.elements.values() for nf in v}
     uf = closure_partition(demo_pres, demo_complete, 5)
     for cls in uf.partition():
         inside = cls & enumerated
@@ -77,15 +76,15 @@ def test_enumeration_matches_bounded_closure(demo_pres, demo_complete):
 
 
 def test_tau_bar_examples(demo_complete):
-    assert tau_bar(NormalForm(Term("x1", P("b5", "b3")))) == 1
-    assert tau_bar(NormalForm(Term("x1", Path.identity(1)))) == 1
-    assert tau_bar(NormalForm(Term("y1", P("b2")))) == 3
+    assert tau_bar(Term("x1", P("b5", "b3"))) == 1
+    assert tau_bar(Term("x1", Path.identity(1))) == 1
+    assert tau_bar(Term("y1", P("b2"))) == 3
 
 
 def test_act_examples(demo_pres, demo_complete):
-    n = NormalForm(Term("x1", P("b5", "b3", "b4", "b4", "b5")))
+    n = Term("x1", P("b5", "b3", "b4", "b4", "b5"))
     moved = act(n, P("b3"), demo_complete)
-    assert format_term(moved.term) == "x1*b5*b3*b4*b4*b5*b3"
+    assert format_term(moved) == "x1*b5*b3*b4*b4*b5*b3"
     assert tau_bar(moved) == 1
 
     assert act(n, Path.identity(3), demo_complete) == n
@@ -95,7 +94,7 @@ def test_act_examples(demo_pres, demo_complete):
 
 
 def test_act_rejects_source_mismatch(demo_complete):
-    n = NormalForm(Term("x1", Path.identity(1)))
+    n = Term("x1", Path.identity(1))
     with pytest.raises(CompositionError):
         act(n, P("b2"), demo_complete)
 
@@ -106,8 +105,8 @@ def test_act_respects_composition(demo_pres, demo_complete):
 
     for _ in range(40):
         t = random_term(rng, demo_pres, 4)
-        n = NormalForm(reduce_term(t, demo_complete))
-        p = random_walk(n.term.target, rng, 3)
+        n = reduce_term(t, demo_complete)
+        p = random_walk(n.target, rng, 3)
         q = random_walk(p.target, rng, 3)
         from kanbex import compose_paths
 
@@ -129,7 +128,7 @@ def random_walk(src, rng, max_steps):
 
 
 def test_epsilon_examples(demo_pres, demo_complete):
-    assert format_term(epsilon("x1", demo_pres, demo_complete).term) == "x1"
+    assert format_term(epsilon("x1", demo_pres, demo_complete)) == "x1"
     with pytest.raises(Exception):
         epsilon("nope", demo_pres, demo_complete)
 
@@ -156,7 +155,7 @@ def test_action_well_defined_on_parallel_relation_paths(demo_pres, demo_complete
     assert reduce_path(p, demo_complete) == reduce_path(q, demo_complete)
     for nfs in tables.elements.values():
         for nf in nfs:
-            if nf.term.target == 1:
+            if nf.target == 1:
                 assert act(nf, p, demo_complete) == act(nf, q, demo_complete)
 
 
