@@ -266,8 +266,8 @@ def conjugation_action(
     """
     arrows, rels, word_path = _one_object_delta(group)
     # the group's one-object category with no points, whose initial rules
-    # are its relations, oriented; a generator listed twice is one arrow
-    pres = KanPresentation((), (), (1,), tuple(dict.fromkeys(arrows)), rels, (), (), (), ())
+    # are its relations, oriented
+    pres = KanPresentation((), (), (1,), arrows, rels, (), (), (), ())
     order = OrderSpec(x_rank={}, delta_rank={g: i for i, g in enumerate(group.generators)})
     result = complete(initial_rules(pres, order), order)
     if not result.complete:

@@ -5,7 +5,8 @@ tag: a rule ``x|l -> u`` rewrites any term ``x|lq`` to ``u.q``.  Path
 rules are two-sided: a rule ``l -> r`` between parallel paths rewrites
 any factor ``l`` occurring right of the tag.  Overlaps between left-hand
 sides come in five shapes, all of which reduce to two kinds of list
-overlap (containment, and end-to-start matching); unresolved critical
+overlap (containment, and end-to-start matching), both read off the
+Aho-Corasick automaton that indexes the rules; unresolved critical
 pairs are oriented and added until every pair resolves, which by
 Newman's lemma makes the terminating reduction relation confluent.
 """
@@ -72,7 +73,9 @@ class _RuleIndex:
     ``delta`` memoises transitions on first use (see ``_goto``).  The
     links are built by ``reset`` and again after each ``add`` that makes
     a terminal.  ``interreduce`` may clear an ``rhs`` for a moment; a
-    lookup then skips that terminal.
+    lookup then skips that terminal.  The critical pairs of the rules are
+    read off the same automaton (``_critical_pairs``): the output chains give
+    the containments, the failure chains the end overlaps.
     Insertion never overwrites an ``rhs``, so the first-added rule wins
     for a given left-hand side.  A system's cached index is shared and
     only read; only ``complete`` and ``interreduce`` change the indexes
@@ -321,44 +324,80 @@ def initial_rules(pres: KanPresentation, order: OrderSpec | None = None) -> Rewr
     return _system(idx, list(dict.fromkeys(r for r in rules if r is not None)))
 
 
-def _critical_pairs(rules: list[tuple]) -> list[tuple]:
-    """The critical pairs of coded rules as ``(case, (i, j), left, right)``
-    with coded sides, host rule ``i`` first.  For each ordered rule pair
-    (self-pairs included) it emits every containment of rule j's lhs in
-    rule i's by position, then every proper end overlap, a suffix of i's
-    lhs that is a prefix of j's, by length.  A term's word starts with
-    its tag, so a term lhs lies only at the start of another term's and
-    never ends an overlap; the trivial full self-overlap is skipped."""
+def _critical_pairs(idx: _RuleIndex, old: list[tuple], new: list[tuple]) -> list[tuple]:
+    """The critical pairs of the ranked rules ``old + new`` that involve a
+    rule of ``new``, read off ``idx``, which holds them all: those of each
+    rule of ``new`` as host with every rule, and of each rule of ``old``
+    with every rule of ``new``.  A ranked rule is ``(rank, coded rule)``;
+    a pair is ``(case, (i, j), position, left, right)`` with coded sides,
+    host rule ``i`` first and ``i``, ``j`` ranks, the position being a
+    containment's start or an end overlap's length.
+
+    Containments: a host's lhs is read through the automaton, and an lhs
+    of length n that ends at position k is on the output chain of the
+    state there, contained at k - n; an empty path lhs, which the root
+    never outputs, is contained at every position.  End overlaps: the
+    state after the host's lhs is its node, and a node of depth o on its
+    failure chain is its suffix of length o, shared by every path rule
+    whose lhs has that node as a proper prefix.  A term's word starts
+    with its tag, so a term lhs lies only at the start of another term's
+    and never ends an overlap; no rule is contained in itself."""
     out = []
-    for i, (ls, li, rs, ri) in enumerate(rules):
-        ni = len(li)
-        host_term = _is_term(li)
-        for j, (_, lj, rsj, rj) in enumerate(rules):
-            nj = len(lj)
-            if _is_term(lj):
-                if host_term and i != j and nj <= ni and li[:nj] == lj:
-                    out.append(("i", (i, j), (rsj, rj + li[nj:]), (rs, ri)))
-                continue
-            if i != j:
-                # an arrow's code never matches a term's tag
-                for pos in range(1 if host_term else 0, ni - nj + 1):
-                    if li[pos:pos + nj] == lj:
-                        spliced = (ls, li[:pos] + rj + li[pos + nj:])
-                        out.append(("v" if host_term else "ii", (i, j), (rs, ri), spliced))
-            for o in range(1, min(ni, nj)):
-                if li[ni - o:] == lj[:o]:
-                    out.append(("iv" if host_term else "iii", (i, j),
+    root = idx.root
+    for hosts, guests in ((new, old + new), (old, new)):
+        ends: dict[int, list] = {}  # id of a node -> the guests whose lhs ends there
+        inner: dict[int, list] = {}  # id of a node -> the path guests whose lhs passes it
+        for guest in guests:
+            word = guest[1][1]
+            path = not _is_term(word)
+            node = root
+            for c in word:
+                if node[3] and path:
+                    inner.setdefault(id(node), []).append(guest)
+                node = node[1][c]
+            ends.setdefault(id(node), []).append(guest)
+        anywhere = ends.get(id(root), ())
+        for i, (ls, li, rs, ri) in hosts:
+            host_term = _is_term(li)
+            ni = len(li)
+            # a path lhs lies right of a term's tag
+            found = [(pos, g) for g in anywhere for pos in range(1 if host_term else 0, ni + 1)]
+            s = root
+            for k, c in enumerate(li, 1):
+                s = s[2].get(c) or _goto(s, c)
+                m = s[5]
+                while m is not None:
+                    found += [(k - m[3], g) for g in ends.get(id(m), ())]
+                    m = m[4][5]
+            for pos, (j, (_, lj, rsj, rj)) in found:
+                if j == i:
+                    continue
+                if _is_term(lj):
+                    out.append(("i", (i, j), pos, (rsj, rj + li[len(lj):]), (rs, ri)))
+                else:
+                    out.append(("v" if host_term else "ii", (i, j), pos, (rs, ri),
+                                (ls, li[:pos] + rj + li[pos + len(lj):])))
+            while s[3]:
+                s = s[4]
+                o = s[3]
+                for j, (_, lj, _, rj) in inner.get(id(s), ()):
+                    out.append(("iv" if host_term else "iii", (i, j), o,
                                 (rs, ri + lj[o:]), (ls, li[:ni - o] + rj)))
     return out
 
 
 def find_critical_pairs(system: RewriteSystem) -> list[CriticalPair]:
-    """All critical pairs, found by list containment and end-to-start
-    matching over every ordered rule pair (self-pairs included, the
-    trivial full self-overlap excluded)."""
+    """All critical pairs, read off the system's index automaton: for each
+    ordered rule pair (self-pairs included, the trivial full self-overlap
+    excluded) every containment by position, then every proper end
+    overlap, a suffix of the host's lhs that is a prefix of the other's,
+    by length."""
     idx = system._index
+    pairs = _critical_pairs(idx, [], list(enumerate(map(idx.code, system.rules))))
+    # containments ("i", "ii", "v") before end overlaps ("iii", "iv")
+    pairs.sort(key=lambda cp: (cp[1], cp[0] in ("iii", "iv"), cp[2]))
     return [CriticalPair(idx.decode(*left), idx.decode(*right), case, rules)
-            for case, rules, left, right in _critical_pairs([idx.code(r) for r in system.rules])]
+            for case, rules, _, left, right in pairs]
 
 
 def resolves(cp: CriticalPair, system: RewriteSystem) -> bool:
@@ -417,11 +456,14 @@ def complete(
 ) -> CompletionResult:
     """Knuth-Bendix style completion.
 
-    Each pass collects all critical pairs of the current system in a
-    deterministic order, reduces both sides against the growing rule
-    set, and adds every pair that fails to resolve, oriented.  The loop
-    ends when a pass adds nothing; the result is then interreduced (by
-    default) so printed systems are canonical.  Limits turn runaway
+    Each pass reads all critical pairs of the rules at its start in a
+    deterministic order (by larger side, then by rules, shape and
+    position), reduces both sides against the growing rule set, and adds
+    every pair that fails to resolve, oriented.  Each pair is built once,
+    in the pass after its newer rule went in, and carried to later
+    passes in the sorted list they read.  The loop ends when a pass adds
+    nothing; the result is then interreduced (by default) so printed
+    systems are canonical.  Limits turn runaway
     completions into a status, not an error; ``max_rule_length`` (list
     length of a new left-hand side) additionally guards against
     divergent runs whose rules grow without bound.  The pass loop runs
@@ -435,6 +477,12 @@ def complete(
     x_rank = order.x_rank
     terms, paths = rules[:len(system.term_rules)], rules[len(system.term_rules):]
     seen = set(rules)
+    # a rule's rank, (kind, position within its kind), stays put when term
+    # rules are appended; ``new`` holds the rules added since the last pass
+    # began, ``old`` the others, and ``pairs`` the sorted pairs of ``old``
+    old: list[tuple] = []
+    new = [((0, k), r) for k, r in enumerate(terms)] + [((1, k), r) for k, r in enumerate(paths)]
+    pairs: list[tuple] = []
     added = 0
     passes = 0
     # a reduction depends only on the side and the rules, so each side is
@@ -459,11 +507,14 @@ def complete(
         if passes >= max_passes:
             return stop(f"pass limit {max_passes} reached")
         passes += 1
-        pairs = _critical_pairs(terms + paths)
-        pairs.sort(key=lambda cp: (max(word_key(cp[2][1], x_rank), word_key(cp[3][1], x_rank)),
-                                   cp[1], cp[0]))
-        grew = False
-        for _, _, left, right in pairs:
+        # each pair is built once: those of the new rules are keyed and
+        # merged into the carried ones, and all are read by larger side
+        pairs += [(max(word_key(left[1], x_rank), word_key(right[1], x_rank)), ij, case, pos,
+                   left, right) for case, ij, pos, left, right in _critical_pairs(idx, old, new)]
+        pairs.sort()
+        old += new
+        new = []
+        for *_, left, right in pairs:
             term = _is_term(left[1])
             reduce = _reduce_term if term else _reduce_path
             rule = _oriented(normal_form(left, reduce), normal_form(right, reduce), x_rank)
@@ -472,15 +523,16 @@ def complete(
             if max_rule_length is not None and len(rule[1]) > max_rule_length:
                 return stop(f"rule length limit {max_rule_length} exceeded")
             seen.add(rule)
-            (terms if term else paths).append(rule)
+            kind = terms if term else paths
+            new.append(((0 if term else 1, len(kind)), rule))
+            kind.append(rule)
             idx.add(rule)
             memo.clear()
             forms.clear()
             added += 1
-            grew = True
             if len(terms) + len(paths) > max_rules:
                 return stop(f"rule limit {max_rules} exceeded")
-        if not grew:
+        if not new:
             break
 
     final = _system(idx, terms + paths)

@@ -5,7 +5,8 @@ nondeterministic (every rule at every position), except in
 ``reference_reduce``, which restates the engine's documented strategy on
 slices; equivalence is computed by undirected closure over a bounded
 universe, and overlaps are found by sliding one left-hand side across
-the other.
+the other, or, in the engine's own order and format, by slicing the
+words of every ordered rule pair (``sliced_critical_pairs``).
 """
 
 from __future__ import annotations
@@ -243,6 +244,48 @@ def _interpret(labels, tags, by_label, super_word, pres):
         src = pres.tag_source(super_word[0]) if super_word[0] in tags else by_label[src_label].src
         return ("P", "id", src)
     return ("P",) + tuple(labels)
+
+
+# --- sliced critical pairs ---
+
+def _is_term(word: tuple) -> bool:
+    return bool(word) and isinstance(word[0], str)
+
+
+def sliced_critical_pairs(rules: list[tuple]) -> list[tuple]:
+    """The critical pairs of coded rules as ``(case, (i, j), left, right)``
+    with coded sides, host rule ``i`` first.  For each ordered rule pair
+    (self-pairs included) it emits every containment of rule j's lhs in
+    rule i's by position, then every proper end overlap, a suffix of i's
+    lhs that is a prefix of j's, by length.  A term's word starts with
+    its tag, so a term lhs lies only at the start of another term's and
+    never ends an overlap; the trivial full self-overlap is skipped.
+
+    A rule is coded as ``(lhs source, lhs word, rhs source, rhs word)``, a
+    term's word starting with its tag.  This is the engine's pair finder
+    before it read the pairs off its automaton, kept as it was: it slices
+    the words of every ordered rule pair."""
+    out = []
+    for i, (ls, li, rs, ri) in enumerate(rules):
+        ni = len(li)
+        host_term = _is_term(li)
+        for j, (_, lj, rsj, rj) in enumerate(rules):
+            nj = len(lj)
+            if _is_term(lj):
+                if host_term and i != j and nj <= ni and li[:nj] == lj:
+                    out.append(("i", (i, j), (rsj, rj + li[nj:]), (rs, ri)))
+                continue
+            if i != j:
+                # an arrow's code never matches a term's tag
+                for pos in range(1 if host_term else 0, ni - nj + 1):
+                    if li[pos:pos + nj] == lj:
+                        spliced = (ls, li[:pos] + rj + li[pos + nj:])
+                        out.append(("v" if host_term else "ii", (i, j), (rs, ri), spliced))
+            for o in range(1, min(ni, nj)):
+                if li[ni - o:] == lj[:o]:
+                    out.append(("iv" if host_term else "iii", (i, j),
+                                (rs, ri + lj[o:]), (ls, li[:ni - o] + rj)))
+    return out
 
 
 # --- word-level closure (independent of the term machinery) ---

@@ -21,6 +21,7 @@ from kanbex import (
     check_confluence,
     complete,
     enumerate_extension,
+    find_critical_pairs,
     from_monoid_presentation,
     initial_rules,
     interreduce,
@@ -29,9 +30,13 @@ from kanbex import (
     rewrite,
 )
 from kanbex.encodings import encode_from_json
+from kanbex.ordering import word_key
 
-from .conftest import DATA, REPO, coxeter
+from .conftest import DATA, REPO, VON_DYCK, coxeter
+from .oracles import sliced_critical_pairs
 from .test_cli import BUNDLED
+from .test_completion_trace import S5
+from .test_critical_pairs import HAND_BUILT
 
 BENCH = REPO / "kanbench"
 
@@ -158,10 +163,11 @@ def test_complete_reduces_each_side_once_per_rule_set(monkeypatch):
     passes = []
     critical_pairs, oriented, add = rewrite._critical_pairs, rewrite._oriented, rewrite._RuleIndex.add
 
-    def logged_pairs(rules):
-        # complete sorts this list in place, so it ends up in read order
-        passes.append(critical_pairs(rules))
-        return passes[-1]
+    def logged_pairs(idx, old, new):
+        # a pass reads every pair of the rules at its start in this order
+        # (test_each_pass_reads_the_sorted_pairs_of_its_rules)
+        passes.append(_read_order(old + new, order.x_rank))
+        return critical_pairs(idx, old, new)
 
     def logged_oriented(*args):
         events.append(("pair",))
@@ -207,6 +213,62 @@ def test_complete_reduces_each_side_once_per_rule_set(monkeypatch):
                 reduced.append((event[1], added))
         assert len(reduced) == len(set(reduced)) == len(sides)
         assert set(reduced) == sides
+
+
+def _read_order(ranked: list[tuple], x_rank) -> list[tuple]:
+    """The pairs that a pass of ``complete`` reads when its rules are the
+    ranked rules ``ranked``: every critical pair of them, found by the
+    sliced oracle, as ``(case, (i, j), left, right)`` in the order by
+    larger side, then rule indices, then case."""
+    pairs = sliced_critical_pairs([rule for _, rule in sorted(ranked)])
+    pairs.sort(key=lambda cp: (max(word_key(cp[2][1], x_rank), word_key(cp[3][1], x_rank)),
+                               cp[1], cp[0]))
+    return pairs
+
+
+def test_each_pass_reads_the_sorted_pairs_of_its_rules(monkeypatch):
+    # complete builds each pair once and carries it over to later passes,
+    # yet every pass reads the full sorted pair list of the rules at its
+    # start: each oriented pair is the normal forms, under the rules so
+    # far, of the sides of the next pair in that list, and a pass ends
+    # when the list does
+    critical_pairs, oriented = rewrite._critical_pairs, rewrite._oriented
+    run = {}
+
+    def logged_pairs(idx, old, new):
+        assert next(run["read"], None) is None
+        found = critical_pairs(idx, old, new)
+        run.update(idx=idx, read=iter(_read_order(old + new, order.x_rank)),
+                   passes=run["passes"] + 1, built=run["built"] + len(found))
+        return found
+
+    def logged_oriented(a, b, x_rank):
+        _, _, left, right = next(run["read"])
+        assert (a, b) == (rewrite._rewrite(left, run["idx"]), rewrite._rewrite(right, run["idx"]))
+        return oriented(a, b, x_rank)
+
+    problems = []
+    for pres, limits, built in [(_bundled("cosets", "cosets_csq.json"), {}, 2041),
+                                (from_monoid_presentation(S5), {}, 4958),
+                                (from_monoid_presentation(VON_DYCK), {"max_passes": 9}, None)]:
+        order = OrderSpec.from_presentation(pres)
+        problems.append((initial_rules(pres, order), order, limits, built))
+    # duplicate and empty left-hand sides, on the hand-built systems
+    hand_order = OrderSpec({"x": 0, "y": 1, "z": 2}, {"a": 0, "b": 1, "c": 2})
+    problems += [(HAND_BUILT[name], hand_order, {}, built)
+                 for name, built in (("duplicate lhs", 21), ("empty path lhs", 34))]
+    for system, order, limits, built in problems:
+        run.update(read=iter(()), passes=0, built=0)
+        monkeypatch.setattr(rewrite, "_critical_pairs", logged_pairs)
+        monkeypatch.setattr(rewrite, "_oriented", logged_oriented)
+        raw = complete(system, order, interreduce_after=False, **limits)
+        monkeypatch.undo()
+        assert next(run["read"], None) is None
+        assert run["passes"] == raw.passes
+        if raw.complete:
+            # each pair of the final rules was built once, in the pass
+            # after its newer rule went in
+            assert run["built"] == len(find_critical_pairs(raw.system)) == built
 
 
 # one-arrow extensions tried while enumerating each problem, and the
