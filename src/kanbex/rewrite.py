@@ -71,9 +71,11 @@ class _RuleIndex:
     its longest proper suffix in the trie, and ``out`` the node itself if
     an lhs ends there, else the nearest such node along ``fail``.
     ``delta`` memoises transitions on first use (see ``_goto``).  The
-    links are built by ``reset`` and again after each ``add`` that makes
-    a terminal.  ``interreduce`` may clear an ``rhs`` for a moment; a
-    lookup then skips that terminal.  The critical pairs of the rules are
+    links are built when the index is and again after each ``add`` that
+    makes a terminal.  ``interreduce`` clears the ``rhs`` of the rule it
+    reduces, and keeps it cleared when it deletes the last rule with that
+    left-hand side; a lookup skips a cleared terminal, and the next link
+    drops it from the output chains.  The critical pairs of the rules are
     read off the same automaton (``_critical_pairs``): the output chains give
     the containments, the failure chains the end overlaps.
     Insertion never overwrites an ``rhs``, so the first-added rule wins
@@ -84,12 +86,25 @@ class _RuleIndex:
 
     __slots__ = ("codes", "arrows", "root", "_lock")
 
-    def __init__(self, rules: Iterable[Rule] = ()):
+    def __init__(self, rules: Iterable[Rule] = (), order: OrderSpec | None = None,
+                 arrows: Iterable[Arrow] = ()):
+        """An index holding ``rules``.  Given an ``order``, ``arrows`` and
+        the rules' arrows are interned first, in its rank, so that
+        ``word_key`` orders the index's words as the paths and terms they
+        code."""
         self.codes: dict[str, int] = {}
         self.arrows: list[Arrow] = []
         # a system's index is shared, and encoding interns unseen labels
         self._lock = threading.Lock()
-        self.reset([self.code(r) for r in rules])
+        rules = tuple(rules)
+        if order is not None:
+            sides = [s.path if isinstance(s, Term) else s for r in rules for s in (r.lhs, r.rhs)]
+            unique = {a.label: a for a in (*arrows, *(a for p in sides for a in p.arrows))}
+            self.intern(tuple(sorted(unique.values(), key=lambda a: order.delta_rank[a.label])))
+        self.root = [None, {}, {}, 0, None, None]
+        for r in rules:
+            self._insert(self.code(r))
+        self._link()
 
     def intern(self, arrows: tuple[Arrow, ...]) -> tuple[int, ...]:
         codes = self.codes
@@ -121,13 +136,6 @@ class _RuleIndex:
     def rule(self, coded: tuple) -> Rule:
         lhs, rhs = self.decode(*coded[:2]), self.decode(*coded[2:])
         return EpsRule(lhs, rhs) if isinstance(lhs, Term) else KRule(lhs, rhs)
-
-    def reset(self, rules: Iterable[tuple]) -> None:
-        """Hold exactly the coded ``rules``: a new trie over the same codes."""
-        self.root = [None, {}, {}, 0, None, None]
-        for r in rules:
-            self._insert(r)
-        self._link()
 
     def node(self, word: tuple) -> list:
         """The trie node of ``word``, made if missing."""
@@ -312,7 +320,7 @@ def initial_rules(pres: KanPresentation, order: OrderSpec | None = None) -> Rewr
     if order is None:
         order = OrderSpec.from_presentation(pres)
 
-    idx = _interned(pres.arr_b, order)
+    idx = _RuleIndex(order=order, arrows=pres.arr_b)
     x_rank = order.x_rank
     rules = []
     for k, (s, t) in enumerate(pres.arr_a):
@@ -412,24 +420,11 @@ def check_confluence(system: RewriteSystem) -> bool:
     return all(resolves(cp, system) for cp in find_critical_pairs(system))
 
 
-def _interned(arrows: Iterable[Arrow], order: OrderSpec) -> _RuleIndex:
-    """A fresh, empty index with ``arrows`` interned in ``order``'s rank,
-    so that ``word_key`` orders the index's words as the paths and terms
-    they code."""
-    idx = _RuleIndex()
-    unique = {a.label: a for a in arrows}
-    idx.intern(tuple(sorted(unique.values(), key=lambda a: order.delta_rank[a.label])))
-    return idx
-
-
 def _ranked(system: RewriteSystem, order: OrderSpec) -> tuple[_RuleIndex, list[tuple]]:
-    """A fresh index holding ``system``'s rules, interned by ``_interned``,
-    and the rules coded in it."""
-    paths = [s.path if isinstance(s, Term) else s for r in system.rules for s in (r.lhs, r.rhs)]
-    idx = _interned((a for p in paths for a in p.arrows), order)
-    rules = [idx.code(r) for r in system.rules]
-    idx.reset(rules)
-    return idx, rules
+    """A fresh index holding ``system``'s rules, interned in ``order``'s
+    rank, and the rules coded in it."""
+    idx = _RuleIndex(system.rules, order)
+    return idx, [idx.code(r) for r in system.rules]
 
 
 def _oriented(a: tuple, b: tuple, x_rank) -> tuple | None:
@@ -476,7 +471,6 @@ def complete(
     idx, rules = _ranked(system, order)
     x_rank = order.x_rank
     terms, paths = rules[:len(system.term_rules)], rules[len(system.term_rules):]
-    seen = set(rules)
     # a rule's rank, (kind, position within its kind), stays put when term
     # rules are appended; ``new`` holds the rules added since the last pass
     # began, ``old`` the others, and ``pairs`` the sorted pairs of ``old``
@@ -518,11 +512,10 @@ def complete(
             term = _is_term(left[1])
             reduce = _reduce_term if term else _reduce_path
             rule = _oriented(normal_form(left, reduce), normal_form(right, reduce), x_rank)
-            if rule is None or rule in seen:
+            if rule is None:
                 continue
             if max_rule_length is not None and len(rule[1]) > max_rule_length:
                 return stop(f"rule length limit {max_rule_length} exceeded")
-            seen.add(rule)
             kind = terms if term else paths
             new.append(((0 if term else 1, len(kind)), rule))
             kind.append(rule)
@@ -549,33 +542,36 @@ def interreduce(system: RewriteSystem, order: OrderSpec) -> RewriteSystem:
     the other rules; rules whose sides collapse together are dropped.
     """
     idx, rules = _ranked(system, order)
-    changed = True
-    while changed:
-        changed = False
-        idx.reset(rules)
-        # positions by coded lhs
-        owners: dict[tuple, list[int]] = {}
-        for pos, rule in enumerate(rules):
-            owners.setdefault(rule[:2], []).append(pos)
-        for pos, rule in enumerate(rules):
-            # reduce the lhs against the other rules: its trie node takes
-            # the rhs of the first other rule with the same lhs, if any
-            node = idx.node(rule[1])
-            own = node[0]
-            twins = [k for k in owners[rule[:2]] if k != pos]
-            node[0] = rules[twins[0]][2:] if twins else None
-            reduce = _reduce_term if _is_term(rule[1]) else _reduce_path
-            lhs = reduce(rule[:2], idx)
-            node[0] = own
-            rhs = reduce(rule[2:], idx)
-            if lhs + rhs == rule:
-                continue
-            del rules[pos]
-            new = _oriented(lhs, rhs, order.x_rank)
-            if new is not None and new not in rules:
-                rules.append(new)
-            changed = True
-            break
+    # the rules by coded lhs, in list order: an lhs's trie node holds the
+    # rhs of the first of them
+    owners: dict[tuple, list[tuple]] = {}
+    for rule in rules:
+        owners.setdefault(rule[:2], []).append(rule)
+    # the rules before ``pos`` are reduced, so no other rule shares their
+    # lhs and the rule at ``pos`` owns its node.  Deleting a rule keeps
+    # them reduced; only an appended one can make them reducible again
+    pos = 0
+    while pos < len(rules):
+        rule = rules[pos]
+        twins = owners[rule[:2]]
+        # reduce against the other rules: the node takes the next twin's
+        # rhs, if any.  The rhs is smaller than the lhs, so never meets it
+        node = idx.node(rule[1])
+        node[0] = twins[1][2:] if len(twins) > 1 else None
+        reduce = _reduce_term if _is_term(rule[1]) else _reduce_path
+        lhs, rhs = reduce(rule[:2], idx), reduce(rule[2:], idx)
+        if lhs + rhs == rule:
+            node[0] = rule[2:]
+            pos += 1
+            continue
+        del rules[pos]
+        twins.pop(0)
+        new = _oriented(lhs, rhs, order.x_rank)
+        if new is not None and new not in owners.get(new[:2], ()):
+            rules.append(new)
+            owners.setdefault(new[:2], []).append(new)
+            idx.add(new)
+            pos = 0
     return _system(idx, rules)
 
 
