@@ -180,7 +180,9 @@ def _action_images(
 ) -> tuple[tuple[str, ...], ...]:
     """The image list of each generator: one image per point, each a point."""
     out = []
-    for g in generators:
+    for k, g in enumerate(generators):
+        if g in generators[:k]:
+            raise PresentationError(f"duplicate generator {g!r}")
         images = action.get(g)
         if images is None or len(images) != len(points):
             raise PresentationError(f"action of {g!r} must list an image per point")
@@ -267,7 +269,7 @@ def conjugation_action(
     arrows, rels, word_path = _one_object_delta(group)
     # the group's one-object category with no points, whose initial rules
     # are its relations, oriented
-    pres = KanPresentation((), (), (1,), arrows, rels, (), (), (), ())
+    pres = _finish(KanPresentation((), (), (1,), arrows, rels, (), (), (), ()))
     order = OrderSpec(x_rank={}, delta_rank={g: i for i, g in enumerate(group.generators)})
     result = complete(initial_rules(pres, order), order)
     if not result.complete:

@@ -86,7 +86,7 @@ class _RuleIndex:
 
     __slots__ = ("codes", "arrows", "root", "_lock")
 
-    def __init__(self, rules: Iterable[Rule] = (), order: OrderSpec | None = None,
+    def __init__(self, rules: tuple[Rule, ...] = (), order: OrderSpec | None = None,
                  arrows: Iterable[Arrow] = ()):
         """An index holding ``rules``.  Given an ``order``, ``arrows`` and
         the rules' arrows are interned first, in its rank, so that
@@ -96,7 +96,6 @@ class _RuleIndex:
         self.arrows: list[Arrow] = []
         # a system's index is shared, and encoding interns unseen labels
         self._lock = threading.Lock()
-        rules = tuple(rules)
         if order is not None:
             sides = [s.path if isinstance(s, Term) else s for r in rules for s in (r.lhs, r.rhs)]
             unique = {a.label: a for a in (*arrows, *(a for p in sides for a in p.arrows))}
@@ -555,7 +554,8 @@ def interreduce(system: RewriteSystem, order: OrderSpec) -> RewriteSystem:
         rule = rules[pos]
         twins = owners[rule[:2]]
         # reduce against the other rules: the node takes the next twin's
-        # rhs, if any.  The rhs is smaller than the lhs, so never meets it
+        # rhs, if any; the rhs and its reducts are smaller than the lhs,
+        # so never contain it
         node = idx.node(rule[1])
         node[0] = twins[1][2:] if len(twins) > 1 else None
         reduce = _reduce_term if _is_term(rule[1]) else _reduce_path
