@@ -90,6 +90,19 @@ def test_reduce_identity_term(capsys, data_dir):
     assert out.strip() == "y1"
 
 
+def test_reduce_json_format(capsys, data_dir):
+    assert run_cli(capsys, "reduce", "--format", "json", "--term", "x3*b1*b2*b3",
+                   str(data_dir / "infinite_extension.json")) == (
+        0, '{"normalForm": ["x1"]}\n', "")
+
+
+def test_reduce_stops_at_the_completion_limit(capsys, data_dir):
+    # the demo completes in two passes
+    assert run_cli(capsys, "reduce", "--max-passes", "1", "--term", "x3*b1*b2*b3",
+                   str(data_dir / "infinite_extension.json")) == (
+        2, "", "completion limit exceeded (pass limit 1 reached); cannot compute normal forms\n")
+
+
 def test_confluent_command(capsys, data_dir, tmp_path):
     code, out, _ = run_cli(capsys, "confluent", str(data_dir / "infinite_extension.json"))
     assert code == 0
@@ -209,11 +222,14 @@ def test_bad_flag_is_usage_error(capsys, data_dir):
     ("enumerate", "--max-rules", "-1"),
     ("reduce", "--max-rules", "-1", "--term", "x1"),
     ("reduce", "--max-passes", "0", "--term", "x1"),
+    ("complete", "--max-passes", "abc"),
 ])
 def test_non_positive_completion_limit_is_usage_error(capsys, data_dir, argv):
     code, out, err = run_cli(capsys, *argv, str(data_dir / "infinite_extension.json"))
-    assert (code, out) == (1, "")
-    assert err.startswith("kanbex: error: argument --max-") and "must be positive" in err
+    flag, value = argv[1:3]
+    # a value that is not an integer at all is refused before its sign
+    reason = f"invalid int value: {value!r}" if value == "abc" else f"must be positive, got {value}"
+    assert (code, out, err) == (1, "", f"kanbex: error: argument {flag}: {reason}\n")
 
 
 # Listings are sorted in declaration order whatever --xorder/--deltaorder
@@ -355,6 +371,8 @@ DIGESTED_RUNS = [
     ("complete", "--no-interreduce", "--format", "json"),
     ("enumerate", "--format", "json"),
     ("enumerate", "--max-passes", "3"),
+    ("complete", "--max-passes", "3"),
+    ("enumerate", "--limit", "1"),
 ]
 
 

@@ -99,6 +99,18 @@ def test_non_string_labels_are_reported(demo_pres):
     assert "ArrB[1]: label 7 is not a string" in validate_presentation(bad).violations
 
 
+def test_hand_built_paths_are_checked(demo_pres):
+    # the JSON reader composes paths as it reads them, so only a path
+    # built by hand can break composition or misstate its source
+    b = demo_pres.arrow_by_label
+    b1, b4 = b["b1"], b["b4"]
+    bad = dataclasses.replace(demo_pres, rel_b=((Path(1, (b1, b1)), Path(1, (b4,))),))
+    assert "RelB[1].lhs: arrows do not compose at 'b1'" in validate_presentation(bad).violations
+    bad = dataclasses.replace(demo_pres, rel_b=((Path(2, (b4,)), Path(1, (b4,))),))
+    assert "RelB[1].lhs: recorded source 2 disagrees with first arrow" in \
+        validate_presentation(bad).violations
+
+
 # --- composition ---
 
 def test_compose_simple(demo_pres):
@@ -213,9 +225,19 @@ def test_json_identity_paths_round_trip(demo_pres):
     pres = presentation_from_json(doc)
     assert pres.rel_b[-1][0] == Path.identity(1)
     assert validate_presentation(pres).ok
+    # [] is the identity at the other side's source
+    doc["RelB"][-1] = [[], ["b4"]]
+    assert presentation_from_json(doc).rel_b == pres.rel_b
     doc["RelB"][-1] = [{"id": 1}, ["b1"]]  # identity against 1->2: not parallel
     report = validate_presentation(presentation_from_json(doc))
     assert any("parallel" in v for v in report.violations)
+    # an FArrA entry [] is the identity at the image of the arrow's source
+    doc = presentation_to_json(demo_pres)
+    doc["FArrA"][1] = []
+    empty = presentation_from_json(doc).f_arr_a
+    doc["FArrA"][1] = {"id": 2}
+    assert empty == presentation_from_json(doc).f_arr_a
+    assert empty[1] == Path.identity(2)
 
 
 def test_json_errors_name_the_field():
