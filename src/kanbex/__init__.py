@@ -27,7 +27,7 @@ from .model import (
     term_as_list,
     validate_presentation,
 )
-from .ordering import OrderSpec, orient_pair, path_sort_key, term_sort_key
+from .ordering import OrderSpec
 from .rewrite import (
     CompletionResult,
     CompletionStatus,
@@ -45,7 +45,6 @@ from .rewrite import (
     reduce_path,
     reduce_term,
     resolves,
-    sorted_rules,
 )
 from .kan import (
     DEFAULT_LIMIT,

@@ -7,10 +7,10 @@ default orders are declaration order in the presentation, so the
 comparison is deterministic and user-controllable without code changes.
 
 ``word_key`` is the one definition of the order: on words of arrow
-codes, a term's word starting with its tag.  ``path_sort_key`` and
-``term_sort_key`` apply it to a ``Path`` or ``Term`` coded by rank; two
-paths (or two terms) compare as their keys do, and equal keys mean equal
-label lists.
+codes, a term's word starting with its tag.  The rule index in
+``rewrite`` is what codes paths and terms, interning arrows in
+``delta_rank`` order; two paths (or two terms) so coded compare as their
+words' keys do, and equal keys mean equal label lists.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .model import KanPresentation, Path, Term
+from .model import KanPresentation
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,30 +59,3 @@ def word_key(word: tuple, x_rank: Mapping[str, int]) -> tuple:
     if word and isinstance(word[0], str):
         return 1, len(word), x_rank[word[0]], word
     return 0, len(word), word
-
-
-def path_sort_key(p: Path, order: OrderSpec) -> tuple:
-    rank = order.delta_rank
-    return word_key(tuple([rank[a.label] for a in p.arrows]), order.x_rank)
-
-
-def term_sort_key(t: Term, order: OrderSpec) -> tuple:
-    rank = order.delta_rank
-    return word_key((t.tag, *[rank[a.label] for a in t.path.arrows]), order.x_rank)
-
-
-def orient_pair(a, b, order: OrderSpec):
-    """Return the pair as (greater, lesser), or None when the sides are equal.
-
-    Both arguments must be Terms, or both Paths.
-    """
-    if isinstance(a, Term) and isinstance(b, Term):
-        key = term_sort_key
-    elif isinstance(a, Path) and isinstance(b, Path):
-        key = path_sort_key
-    else:
-        raise TypeError("cannot orient a term against a path")
-    ka, kb = key(a, order), key(b, order)
-    if ka == kb:
-        return None
-    return (a, b) if ka > kb else (b, a)

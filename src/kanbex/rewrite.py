@@ -29,7 +29,7 @@ from .model import (
     format_term,
     validate_presentation,
 )
-from .ordering import OrderSpec, path_sort_key, term_sort_key, word_key
+from .ordering import OrderSpec, word_key
 
 
 @dataclass(frozen=True)
@@ -583,19 +583,13 @@ def format_rule(rule: Rule) -> str:
     return f"{format_path(rule.lhs)} -> {format_path(rule.rhs)}"
 
 
-def sorted_rules(system: RewriteSystem, order: OrderSpec) -> list[Rule]:
-    """Canonical print order: by left-hand-side list length, then by the
-    left-hand side's sort key, which puts path rules before term rules
-    at equal length (ties broken by the right-hand side's)."""
-
-    def key(rule: Rule):
-        sort_key = term_sort_key if isinstance(rule, EpsRule) else path_sort_key
-        lhs = sort_key(rule.lhs, order)
-        return (lhs[1], lhs, sort_key(rule.rhs, order))
-
-    return sorted(system.rules, key=key)
-
-
-def format_system(system: RewriteSystem, order: OrderSpec | None = None) -> list[str]:
-    rules = sorted_rules(system, order) if order is not None else list(system.rules)
-    return [format_rule(r) for r in rules]
+def format_system(system: RewriteSystem, order: OrderSpec) -> list[str]:
+    """The rules, one a line, in listing order: by the length of the
+    left-hand side's word (a term's counts its tag), then by ``word_key``
+    of the left-hand side, which puts path rules before term rules at
+    equal length, then by ``word_key`` of the right-hand side.  The order
+    is the same whatever order the rules come in."""
+    idx, rules = _ranked(system, order)
+    x_rank = order.x_rank
+    rules.sort(key=lambda r: (len(r[1]), word_key(r[1], x_rank), word_key(r[3], x_rank)))
+    return [format_rule(idx.rule(r)) for r in rules]

@@ -10,13 +10,11 @@ from kanbex import (
     MonoidPresentationDesc,
     OrderSpec,
     Path,
-    Term,
     complete,
     initial_rules,
-    orient_pair,
-    path_sort_key,
-    term_sort_key,
 )
+from kanbex.ordering import word_key
+from kanbex.rewrite import _oriented, _RuleIndex
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 DATA = REPO / "data"
@@ -43,13 +41,16 @@ def build_demo_presentation() -> KanPresentation:
     )
 
 
-def compare(a, b, order: OrderSpec) -> int:
-    """Sign of ``a`` against ``b`` (1 greater, 0 equal, -1 less) under the
-    sort keys, after checking that ``orient_pair`` orients by that sign."""
-    key = term_sort_key if isinstance(a, Term) else path_sort_key
-    ka, kb = key(a, order), key(b, order)
+def compare(a, b, order: OrderSpec, pres: KanPresentation) -> int:
+    """Sign of ``a`` against ``b`` (1 greater, 0 equal, -1 less) under
+    ``word_key``, on words coded by an index that interns ``pres``'s
+    arrows in ``order``'s rank, after checking that ``_oriented`` orients
+    the coded sides by that sign."""
+    idx = _RuleIndex(order=order, arrows=pres.arr_b)
+    ca, cb = idx.encode(a), idx.encode(b)
+    ka, kb = word_key(ca[1], order.x_rank), word_key(cb[1], order.x_rank)
     sign = (ka > kb) - (ka < kb)
-    assert orient_pair(a, b, order) == (None if sign == 0 else (a, b) if sign > 0 else (b, a))
+    assert _oriented(ca, cb, order.x_rank) == (None if sign == 0 else ca + cb if sign > 0 else cb + ca)
     return sign
 
 

@@ -1,12 +1,16 @@
 """Independent brute-force oracles the tests check the engine against.
 
-Nothing here reuses the engine's code.  Rewriting is fully
-nondeterministic (every rule at every position), except in
-``reference_reduce``, which restates the engine's documented strategy on
-slices; equivalence is computed by undirected closure over a bounded
-universe, and overlaps are found by sliding one left-hand side across
-the other, or, in the engine's own order and format, by slicing the
-words of every ordered rule pair (``sliced_critical_pairs``).
+Nothing here reuses the engine's rewriting, overlap or enumeration
+code.  Rewriting is fully nondeterministic (every rule at every
+position), except in ``reference_reduce``, which restates the engine's
+documented strategy on slices; equivalence is computed by undirected
+closure over a bounded universe, and overlaps are found by sliding one
+left-hand side across the other, or, in the engine's own order and
+format, by slicing the words of every ordered rule pair
+(``sliced_critical_pairs``).  Only the random systems lean on the
+engine: ``random_rule`` orients them with its coder and order
+(``_RuleIndex`` and ``_oriented``), which ``tests/test_ordering.py``
+checks against hand-written expectations.
 """
 
 from __future__ import annotations
@@ -19,14 +23,13 @@ from kanbex import (
     Arrow,
     EpsRule,
     KanPresentation,
-    KRule,
     OrderSpec,
     Path,
     RewriteSystem,
     Term,
-    orient_pair,
     validate_presentation,
 )
+from kanbex.rewrite import _oriented, _RuleIndex
 
 
 class UnionFind:
@@ -475,12 +478,15 @@ def random_parallel_paths(rng: random.Random, pres: KanPresentation, max_word: i
 def random_rule(rng: random.Random, pres: KanPresentation, order: OrderSpec):
     """A random oriented rule over the presentation: a path rule between
     parallel paths, or a term rule between terms with a common target."""
+    idx = _RuleIndex(order=order, arrows=pres.arr_b)
+
+    def oriented(a, b):
+        rule = _oriented(idx.encode(a), idx.encode(b), order.x_rank)
+        return None if rule is None else idx.rule(rule)
+
     if rng.random() < 0.5 or not pres.x_labels:
         pair = random_parallel_paths(rng, pres, 3)
-        if pair is None:
-            return None
-        oriented = orient_pair(*pair, order)
-        return KRule(*oriented) if oriented else None
+        return None if pair is None else oriented(*pair)
     t1 = random_term(rng, pres, 4)
     if t1 is None:
         return None
@@ -488,6 +494,5 @@ def random_rule(rng: random.Random, pres: KanPresentation, order: OrderSpec):
     for _ in range(12):
         t2 = random_term(rng, pres, 4)
         if t2 is not None and t2.target == t1.target and t2 != t1:
-            oriented = orient_pair(t1, t2, order)
-            return EpsRule(*oriented) if oriented else None
+            return oriented(t1, t2)
     return None

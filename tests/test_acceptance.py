@@ -368,8 +368,8 @@ def _ordering_axioms(rng, pres, order, rounds):
         src = rng.choice(pres.ob_b)
         p1 = _random_path_from(rng, pres, src, 3)
         p2 = _random_path_from(rng, pres, src, 3)
-        c12 = compare(p1, p2, order)
-        c21 = compare(p2, p1, order)
+        c12 = compare(p1, p2, order, pres)
+        c21 = compare(p2, p1, order, pres)
         if p1.labels == p2.labels:
             assert c12 == 0
         else:
@@ -377,15 +377,15 @@ def _ordering_axioms(rng, pres, order, rounds):
         done += 1
         if p1.target == p2.target and c12 != 0:
             v = _random_path_from(rng, pres, p1.target, 2)
-            assert compare(compose_paths(p1, v), compose_paths(p2, v), order) == c12
+            assert compare(compose_paths(p1, v), compose_paths(p2, v), order, pres) == c12
             done += 1
 
         t1 = random_term(rng, pres, 4)
         t2 = random_term(rng, pres, 4)
         if t1 is None or t2 is None:
             continue
-        c12 = compare(t1, t2, order)
-        c21 = compare(t2, t1, order)
+        c12 = compare(t1, t2, order, pres)
+        c21 = compare(t2, t1, order, pres)
         if t1 == t2:
             assert c12 == 0
         else:
@@ -393,16 +393,16 @@ def _ordering_axioms(rng, pres, order, rounds):
         done += 1
         if t1.target == t2.target and c12 == 1:
             q = _random_path_from(rng, pres, t1.target, 3)
-            assert compare(t1.act(q), t2.act(q), order) == 1
+            assert compare(t1.act(q), t2.act(q), order, pres) == 1
             done += 1
         tag_src = pres.tag_source(t1.tag)
         q1 = _random_path_from(rng, pres, tag_src, 3)
         q2 = _random_path_from(rng, pres, tag_src, 3)
         if q1.target == q2.target:
-            c = compare(q1, q2, order)
+            c = compare(q1, q2, order, pres)
             if c != 0:
                 s = Term(t1.tag, Path.identity(tag_src))
-                assert compare(s.act(q1), s.act(q2), order) == c
+                assert compare(s.act(q1), s.act(q2), order, pres) == c
                 done += 1
     return done
 
