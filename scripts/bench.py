@@ -6,9 +6,12 @@
 For every workload in ``BENCHMARK.json`` and every seed,
 ``kanbench/run.py`` runs once, for the benchmark's ``run_seconds``, on a
 copy of the revision (``git archive`` into a temporary directory) and
-once on the working tree, one after the other, with the side that goes
-first alternating from seed to seed.  Each run is one process, run to
-the end before the next starts.
+once on a copy of the working tree (its tracked files as they are on
+disk and its untracked files that are not ignored), one after the
+other, with the side that goes first alternating from seed to seed.
+Both sides run from a fresh copy, so neither reads the checkout's
+caches or run output.  Each run is one process, run to the end before
+the next starts.
 
 The output holds, per workload and end-to-end metric, each side's runs,
 median and quartiles, the number of pairs the working tree wins (ties,
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -65,6 +69,20 @@ def export(rev: str, into: Path) -> str:
         with tarfile.open(fileobj=f) as tar:
             tar.extractall(into)
     return sha
+
+
+def copy_worktree(into: Path) -> None:
+    """Copy the working tree into ``into``: the tracked files as they are
+    on disk, and the untracked files that are not ignored."""
+    names = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                           cwd=ROOT, check=True, capture_output=True, text=True).stdout
+    for name in filter(None, names.split("\0")):
+        source = ROOT / name
+        # a tracked file deleted on disk is left out
+        if source.is_file():
+            target = into / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy(source, target)
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -133,14 +151,16 @@ def main(argv=None) -> int:
 
     out = {"seconds": seconds, "seeds": args.seeds, "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
-        base_tree = Path(tmp)
+        base_tree, change_tree = Path(tmp) / "base", Path(tmp) / "change"
+        base_tree.mkdir()
         out["base"] = export(args.rev, base_tree)
+        copy_worktree(change_tree)
         for workload in (w["name"] for w in spec["workloads"]):
             runs = {"base": [], "change": []}
             for k, seed in enumerate(args.seeds):
                 order = ("base", "change") if k % 2 == 0 else ("change", "base")
                 for side in order:
-                    tree = base_tree if side == "base" else ROOT
+                    tree = base_tree if side == "base" else change_tree
                     runs[side].append(run_once(tree, workload, seed, seconds))
                     print(f"{workload} seed {seed} {side}: "
                           f"{ {m: v['value'] for m, v in runs[side][-1]['metrics'].items()} }",
@@ -152,7 +172,7 @@ def main(argv=None) -> int:
                                 for seed, r in zip(args.seeds, rs)]
                          for side, rs in runs.items()},
                 "layers": layers(*(run_once(tree, workload, args.seeds[0], seconds, trace=1)
-                                   for tree in (base_tree, ROOT))),
+                                   for tree in (base_tree, change_tree))),
             }
     args.output.write_text(json.dumps(out, indent=2) + "\n", encoding="utf-8")
     return 0

@@ -415,8 +415,15 @@ def resolves(cp: CriticalPair, system: RewriteSystem) -> bool:
 
 
 def check_confluence(system: RewriteSystem) -> bool:
-    """Local confluence; with oriented rules this is full confluence."""
-    return all(resolves(cp, system) for cp in find_critical_pairs(system))
+    """Local confluence; with oriented rules this is full confluence.  The
+    critical pairs are read off the system's index as coded sides, and
+    each pair resolves when its two sides reduce to the same word."""
+    idx = system._index
+    for *_, left, right in _critical_pairs(idx, [], list(enumerate(map(idx.code, system.rules)))):
+        reduce = _reduce_term if _is_term(left[1]) else _reduce_path
+        if reduce(left, idx) != reduce(right, idx):
+            return False
+    return True
 
 
 def _ranked(system: RewriteSystem, order: OrderSpec) -> tuple[_RuleIndex, list[tuple]]:
@@ -453,7 +460,10 @@ def complete(
     Each pass reads all critical pairs of the rules at its start in a
     deterministic order (by larger side, then by rules, shape and
     position), reduces both sides against the growing rule set, and adds
-    every pair that fails to resolve, oriented.  Each pair is built once,
+    every pair that fails to resolve, oriented.  A side is reduced once
+    per rule set that can reach it: under length-lex no reduction makes a
+    word longer, so a new rule changes only the normal forms of sides at
+    least as long as its left-hand side.  Each pair is built once,
     in the pass after its newer rule went in, and carried to later
     passes in the sorted list they read.  The loop ends when a pass adds
     nothing; the result is then interreduced (by default) so printed
@@ -478,18 +488,24 @@ def complete(
     pairs: list[tuple] = []
     added = 0
     passes = 0
-    # a reduction depends only on the side and the rules, so each side is
-    # reduced once per rule set: ``memo`` maps a side to its normal form
-    # until the next rule goes in, and ``forms`` holds each such normal
-    # form once, so equal ones share one tuple
-    memo: dict[tuple, tuple] = {}
+    # a reduction depends only on the side and the rules that can reach
+    # it.  Every rule is oriented by ``word_key``, which puts the longer
+    # word first within a kind, so no word in a side's derivation is
+    # longer than the side, and a rule whose lhs word is longer matches
+    # none of them.  ``memo`` maps the length of a side's word to a map
+    # from each such side to its normal form; a new rule drops the sides
+    # at least as long as its lhs and keeps the others exact.  ``forms``
+    # holds each normal form found since the last rule went in once, so
+    # equal ones share one tuple
+    memo: dict[int, dict[tuple, tuple]] = {}
     forms: dict[tuple, tuple] = {}
 
     def normal_form(side: tuple, reduce) -> tuple:
-        nf = memo.get(side)
+        known = memo.setdefault(len(side[1]), {})
+        nf = known.get(side)
         if nf is None:
             nf = reduce(side, idx)
-            nf = memo[side] = forms.setdefault(nf, nf)
+            nf = known[side] = forms.setdefault(nf, nf)
         return nf
 
     def stop(reason: str) -> CompletionResult:
@@ -519,7 +535,8 @@ def complete(
             new.append(((0 if term else 1, len(kind)), rule))
             kind.append(rule)
             idx.add(rule)
-            memo.clear()
+            for length in [n for n in memo if n >= len(rule[1])]:
+                del memo[length]
             forms.clear()
             added += 1
             if len(terms) + len(paths) > max_rules:

@@ -108,20 +108,21 @@ def _bundled(family, name):
 # calls to each stamped reduction per step, on a problem with term and
 # path rules and on one with path rules only; the benchmark's segments
 # line up between two versions only while these counts stay the same.
-# The "complete" rows count each pair side once per rule set (see
-# test_complete_reduces_each_side_once_per_rule_set); the "interreduce"
+# The "complete" rows count each pair side once per set of the rules
+# that can reach it, those whose lhs word is no longer than the side's
+# (see test_complete_reduces_each_side_once_per_rule_set); the "interreduce"
 # rows count one scan over one index, which resumes after a deletion and
 # restarts only after an append; the others were recorded before
 # critical pairs were found on coded words
 REDUCTIONS = {
     "cosets_csq.json": {
-        "complete": {"_reduce_path": 1844, "_reduce_term": 455},
+        "complete": {"_reduce_path": 1838, "_reduce_term": 454},
         "interreduce": {"_reduce_path": 242, "_reduce_term": 148},
         "check_confluence": {"_reduce_path": 524, "_reduce_term": 164},
         "enumerate_extension": {"_reduce_path": 524, "_reduce_term": 164},
     },
     "coxeter4": {
-        "complete": {"_reduce_path": 44},
+        "complete": {"_reduce_path": 36},
         "interreduce": {"_reduce_path": 14},
         "check_confluence": {"_reduce_path": 36},
         "enumerate_extension": {"_reduce_path": 36},
@@ -159,7 +160,8 @@ def test_reductions_call_the_stamped_functions(monkeypatch):
 
 def test_complete_reduces_each_side_once_per_rule_set(monkeypatch):
     # a pair side is reduced only the first time it comes up since the
-    # last rule went in: the stamped calls are the distinct (side, rules
+    # last rule went in that can reach it, one whose lhs word is no longer
+    # than the side's: the stamped calls are the distinct (side, such rules
     # added so far) among the sides of the pairs the passes read
     events = []
     passes = []
@@ -176,7 +178,7 @@ def test_complete_reduces_each_side_once_per_rule_set(monkeypatch):
         return oriented(*args)
 
     def logged_add(self, rule):
-        events.append(("add",))
+        events.append(("add", len(rule[1])))
         return add(self, rule)
 
     def logged_reduce(fn):
@@ -202,17 +204,21 @@ def test_complete_reduces_each_side_once_per_rule_set(monkeypatch):
         complete(system, order, interreduce_after=False)
         # pair k of a pass is read at that pass's k-th "pair" event
         read = iter(cp for pairs in passes for cp in pairs)
-        added = 0
+        added = []  # the lhs word lengths of the rules added so far
+
+        def reaching(side):
+            return sum(n <= len(side[1]) for n in added)
+
         sides = set()
         reduced = []
         for event in events:
             if event[0] == "pair":
                 _, _, left, right = next(read)
-                sides |= {(left, added), (right, added)}
+                sides |= {(left, reaching(left)), (right, reaching(right))}
             elif event[0] == "add":
-                added += 1
+                added.append(event[1])
             else:
-                reduced.append((event[1], added))
+                reduced.append((event[1], reaching(event[1])))
         assert len(reduced) == len(set(reduced)) == len(sides)
         assert set(reduced) == sides
 

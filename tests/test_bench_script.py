@@ -1,8 +1,9 @@
-"""The gain and bound rules of ``scripts/bench.py``'s comparison, and its
-per-layer record."""
+"""The gain and bound rules of ``scripts/bench.py``'s comparison, its
+per-layer record, and the copies that each side runs from."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 _spec = importlib.util.spec_from_file_location(
@@ -72,11 +73,12 @@ def test_each_workload_gets_one_traced_run_per_side_on_the_first_seed(monkeypatc
     calls = []
 
     def run_once(tree, workload, seed, seconds, trace=0):
-        calls.append((tree == bench.ROOT, workload, seed, trace))
+        calls.append((tree.name == "change", workload, seed, trace))
         return traced(t=1.0)
 
     monkeypatch.setattr(bench, "run_once", run_once)
     monkeypatch.setattr(bench, "export", lambda rev, into: "0" * 40)
+    monkeypatch.setattr(bench, "copy_worktree", lambda into: None)
     out = tmp_path / "bench.json"
     assert bench.main(["--seeds", "5-7", "-o", str(out)]) == 0
     result = json.loads(out.read_text())
@@ -85,3 +87,42 @@ def test_each_workload_gets_one_traced_run_per_side_on_the_first_seed(monkeypatc
         assert sorted(c[2] for c in runs if not c[3]) == [5, 5, 6, 6, 7, 7]
         assert sorted((c[0], c[2]) for c in runs if c[3]) == [(False, 5), (True, 5)]
         assert workload["layers"]["metrics"]["t"]["ratio"] is None
+
+
+def test_both_sides_run_from_copies_and_the_change_side_sees_the_working_tree(
+        monkeypatch, tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    spec = {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": [METRIC]}
+    (repo / "BENCHMARK.json").write_text(json.dumps(spec))
+    (repo / ".gitignore").write_text("ignored.txt\n")
+    (repo / "edited.txt").write_text("committed")
+    (repo / "deleted.txt").write_text("committed")
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@localhost",
+                        "-c", "commit.gpgsign=false", *args], cwd=repo, check=True,
+                       capture_output=True)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (repo / "edited.txt").write_text("edited")
+    (repo / "deleted.txt").unlink()
+    (repo / "new" / "file.txt").parent.mkdir()
+    (repo / "new" / "file.txt").write_text("new")
+    (repo / "ignored.txt").write_text("ignored")
+    seen = {}
+
+    def run_once(tree, workload, seed, seconds, trace=0):
+        assert repo not in tree.parents and tree != repo
+        seen.setdefault(tree.name, set()).add((
+            (tree / "edited.txt").read_text(), (tree / "deleted.txt").exists(),
+            (tree / "new" / "file.txt").exists(), (tree / "ignored.txt").exists()))
+        return traced(t=1.0)
+
+    monkeypatch.setattr(bench, "ROOT", repo)
+    monkeypatch.setattr(bench, "run_once", run_once)
+    assert bench.main(["--seeds", "1-2", "-o", str(tmp_path / "bench.json")]) == 0
+    assert seen == {"base": {("committed", True, False, False)},
+                    "change": {("edited", False, True, False)}}

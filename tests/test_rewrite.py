@@ -280,6 +280,18 @@ def test_completion_limit_is_a_status():
         complete(RewriteSystem(), ORDER, max_rules=0)
 
 
+def test_a_rule_as_long_as_a_reduced_side_changes_its_normal_form():
+    # pass 1 reduces the sides of aaa's self-overlap, ba and ab, and adds
+    # b*a -> a*b, whose lhs is exactly as long as ba; pass 2 reads the
+    # same pair again, and ba must now reduce to ab.  Kept as its old
+    # normal form, ba would orient to b*a -> a*b once more in every pass
+    pres = from_monoid_presentation(MonoidPresentationDesc(("a", "b"), ((("a", "a"), ("b",)),)))
+    order = OrderSpec.from_presentation(pres)
+    result = complete(initial_rules(pres, order), order, interreduce_after=False)
+    assert (result.complete, result.passes, result.rules_added) == (True, 2, 1)
+    assert [format_rule(r) for r in result.system.rules] == ["a*a -> b", "b*a -> a*b"]
+
+
 def test_confluence_examples(demo_initial):
     assert not check_confluence(demo_initial)
     assert check_confluence(RewriteSystem())
