@@ -348,7 +348,8 @@ def test_coset_enumeration_json_is_byte_identical(capsys, data_dir, tmp_path):
 # sha256 of stdout and stderr, and the exit code, of CLI runs on every
 # bundled problem, recorded before the rule index became a prefix trie
 # (the ``rules --format json`` rows: before the initial rules were built
-# on coded words).
+# on coded words; the ``enumerate`` rows: before enumeration kept its
+# normal forms as a prefix forest).
 # Nothing rewrites tests/cli_digests.json: a change meant to alter output
 # records it again and says why.
 CLI_DIGESTS = json.loads((pathlib.Path(__file__).parent / "cli_digests.json").read_text())
@@ -367,6 +368,7 @@ DIGESTED_RUNS = [
     ("complete",),
     ("complete", "--format", "json"),
     ("complete", "--no-interreduce", "--format", "json"),
+    ("enumerate",),
     ("enumerate", "--format", "json"),
     ("enumerate", "--max-passes", "3"),
     ("complete", "--max-passes", "3"),
