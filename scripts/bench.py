@@ -32,6 +32,9 @@ side's value and, for counts and ratios, the working tree's over the
 revision's.  A time (unit ``s``) gets no ratio (null): each side's comes
 from one run, not scaled to the host's speed, so the two differ with
 the host as much as with the code.  The layers are not gated.
+
+``src_lines`` holds each side's line count of ``src/**/*.py``, taken on
+the copies the runs use.
 """
 
 from __future__ import annotations
@@ -83,6 +86,11 @@ def copy_worktree(into: Path) -> None:
             target = into / name
             target.parent.mkdir(parents=True, exist_ok=True)
             shutil.copy(source, target)
+
+
+def src_lines(tree: Path) -> int:
+    """Lines of the Python files under ``tree/src``, as ``wc -l`` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in tree.glob("src/**/*.py"))
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -155,6 +163,7 @@ def main(argv=None) -> int:
         base_tree.mkdir()
         out["base"] = export(args.rev, base_tree)
         copy_worktree(change_tree)
+        out["src_lines"] = {"base": src_lines(base_tree), "change": src_lines(change_tree)}
         for workload in (w["name"] for w in spec["workloads"]):
             runs = {"base": [], "change": []}
             for k, seed in enumerate(args.seeds):

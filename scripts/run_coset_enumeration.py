@@ -14,7 +14,6 @@ from kanbex import (
     encode_from_json,
     enumerate_extension,
     format_system,
-    format_term,
     initial_rules,
 )
 
@@ -32,7 +31,7 @@ def run(descriptor: str):
     for line in format_system(result.system, order):
         print("  " + line)
     tables = enumerate_extension(pres, result.system, limit=50)
-    reps = ", ".join(format_term(t) for t in tables.elements[1])
+    reps = ", ".join(tables.names()[1])
     print(f"  cosets ({tables.status.value}): {reps}\n")
 
 

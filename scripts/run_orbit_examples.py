@@ -14,7 +14,6 @@ from kanbex import (
     encode_from_json,
     enumerate_extension,
     format_rule,
-    format_term,
     initial_rules,
 )
 
@@ -29,7 +28,7 @@ def solve(title: str, descriptor: str):
     tables = enumerate_extension(pres, result.system)
     print(title)
     print("  reduced rules:", ", ".join(sorted(format_rule(r) for r in result.system.rules)))
-    print("  representatives:", ", ".join(format_term(t) for t in tables.elements[1]))
+    print("  representatives:", ", ".join(tables.names()[1]))
     print()
 
 

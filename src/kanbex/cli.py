@@ -234,9 +234,9 @@ def _cmd_enumerate(args) -> int:
         _print_system(result.system, pres, "text")
         print(f"total={tables.total} status={tables.status.value}")
         return EXIT_LIMIT
+    names = tables.names()
     for obj in pres.ob_b:
-        names = ", ".join([format_term(t) for t in tables.elements.get(obj, ())])
-        print(f"KB{obj}: {names}")
+        print(f"KB{obj}: {', '.join(names[obj])}")
     print(f"total={tables.total} status={tables.status.value}")
     return EXIT_OK
 

@@ -6,13 +6,20 @@ terms, and each later stage holds the irreducible one-arrow extensions
 of the previous stage's survivors.  When a whole stage dies the
 catalogue is finite and complete, because any longer term contains a
 reducible prefix; a global element limit guards the infinite case.
+
+Under length-lex the normal forms are prefix-closed, so the catalogue is
+kept as a forest: each form is its parent, a form one arrow shorter,
+plus one arrow.  Enumeration records only that, with no object per
+form; the terms and their text names are built from it on demand, each
+from its parent's.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Mapping
+from functools import cached_property
+from typing import Mapping, Sequence
 
 from .model import Arrow, CompositionError, KanPresentation, Path, Term
 from .ordering import OrderSpec
@@ -29,15 +36,55 @@ class EnumerationStatus(enum.Enum):
 @dataclass(frozen=True)
 class KanTables:
     """Catalogue of normal forms, the terms irreducible with respect to the
-    complete system, keyed by their target object."""
+    complete system, as a prefix forest.
+
+    Forms are numbered in enumeration order, so a parent comes before its
+    children.  Form ``i`` sits over ``targets[i]``; it is the identity
+    term on the tag ``steps[i]`` when ``parents[i]`` is -1, and otherwise
+    form ``parents[i]`` followed by the arrow ``steps[i]``.  ``elements``
+    (built on first use, then kept) and ``names()`` key the forms by
+    their target, every object of ``objects`` present, each in
+    enumeration order.
+    """
 
     status: EnumerationStatus
-    elements: Mapping[int, tuple[Term, ...]]
-    total: int
+    objects: tuple[int, ...]
+    parents: Sequence[int]
+    steps: Sequence[str | Arrow]
+    targets: Sequence[int]
+
+    @property
+    def total(self) -> int:
+        return len(self.parents)
 
     @property
     def finite(self) -> bool:
         return self.status is EnumerationStatus.FINITE
+
+    @cached_property
+    def elements(self) -> Mapping[int, tuple[Term, ...]]:
+        """The normal forms as terms, keyed by target."""
+        terms: list[Term] = []
+        for parent, step, target in zip(self.parents, self.steps, self.targets):
+            if parent < 0:
+                terms.append(Term(step, Path(target)))
+            else:
+                tag, path = terms[parent].tag, terms[parent].path
+                terms.append(Term(tag, Path(path.source, path.arrows + (step,))))
+        return self._by_target(terms)
+
+    def names(self) -> Mapping[int, tuple[str, ...]]:
+        """Each normal form's ``format_term`` text, keyed by target."""
+        names: list[str] = []
+        for parent, step in zip(self.parents, self.steps):
+            names.append(step if parent < 0 else names[parent] + "*" + step.label)
+        return self._by_target(names)
+
+    def _by_target(self, forms: list) -> dict[int, tuple]:
+        by_target: dict[int, list] = {obj: [] for obj in self.objects}
+        for form, target in zip(forms, self.targets):
+            by_target[target].append(form)
+        return {obj: tuple(fs) for obj, fs in by_target.items()}
 
 
 def _extension_reducible(state: list, code: int) -> list | None:
@@ -75,14 +122,17 @@ def enumerate_extension(
     idx = system._index
     root = idx.root
 
-    elements: dict[int, list[Term]] = {obj: [] for obj in pres.ob_b}
+    # the forest (see KanTables), and each form's automaton state (see
+    # _extension_reducible)
+    parents: list[int] = []
+    steps: list[str | Arrow] = []
+    targets: list[int] = []
+    states: list[list] = []
     total = 0
     exceeded = False
 
-    # each stage term carries its target and its automaton state (see
-    # _extension_reducible); an empty path is never a left-hand side, so
-    # x|id is irreducible exactly when reading its tag gives no output
-    stage: list[tuple[Term, int, list]] = []
+    # an empty path is never a left-hand side, so x|id is irreducible
+    # exactly when reading its tag gives no output
     for x in sorted(pres.x_labels, key=lambda l: order.x_rank[l]):
         state = _goto(root, x)
         if state[5] is not None:
@@ -90,38 +140,41 @@ def enumerate_extension(
         if total >= limit:
             exceeded = True
             break
-        source = pres.tag_source(x)
-        t = Term(x, Path.identity(source))
-        elements[source].append(t)
+        parents.append(-1)
+        steps.append(x)
+        targets.append(pres.tag_source(x))
+        states.append(state)
         total += 1
-        stage.append((t, source, state))
 
-    arrows_by_src: dict[int, list[tuple[Arrow, int, int]]] = {}
+    arrows_by_src: dict[int, list[tuple[Arrow, int]]] = {}
     for a in sorted(pres.arr_b, key=lambda a: order.delta_rank[a.label]):
-        arrows_by_src.setdefault(a.src, []).append((a, idx.intern((a,))[0], a.tgt))
+        arrows_by_src.setdefault(a.src, []).append((a, idx.intern((a,))[0]))
 
-    while stage and not exceeded:
-        next_stage: list[tuple[Term, int, list]] = []
-        for t, target, state in stage:
-            for arrow, code, tgt in arrows_by_src.get(target, ()):
-                ext_state = _extension_reducible(state, code)
-                if ext_state is None:
-                    continue
-                if total >= limit:
-                    exceeded = True
-                    break
-                ext = Term(t.tag, Path(t.path.source, t.path.arrows + (arrow,)))
-                elements[tgt].append(ext)
-                total += 1
-                next_stage.append((ext, tgt, ext_state))
-            if exceeded:
+    # forms are extended in the order they were found, so each stage is
+    # extended after the whole of the one before it
+    form = 0
+    while form < total and not exceeded:
+        state = states[form]
+        for arrow, code in arrows_by_src.get(targets[form], ()):
+            ext_state = _extension_reducible(state, code)
+            if ext_state is None:
+                continue
+            if total >= limit:
+                exceeded = True
                 break
-        stage = next_stage
+            parents.append(form)
+            steps.append(arrow)
+            targets.append(arrow.tgt)
+            states.append(ext_state)
+            total += 1
+        form += 1
 
     return KanTables(
         status=EnumerationStatus.LIMIT_EXCEEDED if exceeded else EnumerationStatus.FINITE,
-        elements={obj: tuple(ts) for obj, ts in elements.items()},
-        total=total,
+        objects=tuple(pres.ob_b),
+        parents=parents,
+        steps=steps,
+        targets=targets,
     )
 
 

@@ -19,6 +19,7 @@ import pytest
 from kanbex import (
     OrderSpec,
     check_confluence,
+    cli,
     complete,
     enumerate_extension,
     find_critical_pairs,
@@ -27,6 +28,7 @@ from kanbex import (
     interreduce,
     kan,
     load_presentation,
+    presentation_to_json,
     rewrite,
 )
 from kanbex.encodings import encode_from_json
@@ -308,3 +310,17 @@ def test_each_candidate_calls_extension_reducible(monkeypatch):
         total = enumerate_extension(pres, result.system).total
         got[name] = (len(calls), total)
     assert got == CANDIDATES
+
+
+def test_only_the_json_catalogue_builds_terms(monkeypatch, capsys, tmp_path):
+    # the text catalogue prints the names enumeration builds from its
+    # forest, with no term per normal form; the JSON one lists the terms
+    f = tmp_path / "coxeter4.json"
+    f.write_text(json.dumps(presentation_to_json(from_monoid_presentation(coxeter(4)))))
+    calls = []
+    _log_calls(monkeypatch, calls, kan, "Term")
+    assert cli.main(["enumerate", str(f)]) == 0
+    assert capsys.readouterr().out.endswith("total=24 status=Finite\n")
+    assert calls == []
+    assert cli.main(["enumerate", "--format", "json", str(f)]) == 0
+    assert len(calls) == json.loads(capsys.readouterr().out)["total"] == 24

@@ -6,6 +6,8 @@ import json
 import subprocess
 from pathlib import Path
 
+import pytest
+
 _spec = importlib.util.spec_from_file_location(
     "bench", Path(__file__).resolve().parent.parent / "scripts" / "bench.py")
 bench = importlib.util.module_from_spec(_spec)
@@ -89,24 +91,35 @@ def test_each_workload_gets_one_traced_run_per_side_on_the_first_seed(monkeypatc
         assert workload["layers"]["metrics"]["t"]["ratio"] is None
 
 
-def test_both_sides_run_from_copies_and_the_change_side_sees_the_working_tree(
-        monkeypatch, tmp_path):
-    repo = tmp_path / "repo"
-    repo.mkdir()
+def _git(repo, *args):
+    subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@localhost",
+                    "-c", "commit.gpgsign=false", *args], cwd=repo, check=True,
+                   capture_output=True)
+
+
+def _commit(repo):
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "base")
+
+
+@pytest.fixture
+def repo(tmp_path):
+    """An empty git repository with a benchmark spec of one workload that
+    ignores ``ignored.txt``, nothing committed yet."""
+    root = tmp_path / "repo"
+    root.mkdir()
     spec = {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": [METRIC]}
-    (repo / "BENCHMARK.json").write_text(json.dumps(spec))
-    (repo / ".gitignore").write_text("ignored.txt\n")
+    (root / "BENCHMARK.json").write_text(json.dumps(spec))
+    (root / ".gitignore").write_text("ignored.txt\n")
+    _git(root, "init", "-q")
+    return root
+
+
+def test_both_sides_run_from_copies_and_the_change_side_sees_the_working_tree(
+        monkeypatch, tmp_path, repo):
     (repo / "edited.txt").write_text("committed")
     (repo / "deleted.txt").write_text("committed")
-
-    def git(*args):
-        subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@localhost",
-                        "-c", "commit.gpgsign=false", *args], cwd=repo, check=True,
-                       capture_output=True)
-
-    git("init", "-q")
-    git("add", "-A")
-    git("commit", "-q", "-m", "base")
+    _commit(repo)
     (repo / "edited.txt").write_text("edited")
     (repo / "deleted.txt").unlink()
     (repo / "new" / "file.txt").parent.mkdir()
@@ -126,3 +139,18 @@ def test_both_sides_run_from_copies_and_the_change_side_sees_the_working_tree(
     assert bench.main(["--seeds", "1-2", "-o", str(tmp_path / "bench.json")]) == 0
     assert seen == {"base": {("committed", True, False, False)},
                     "change": {("edited", False, True, False)}}
+
+
+def test_the_record_counts_each_sides_python_source_lines(monkeypatch, tmp_path, repo):
+    (repo / "src" / "pkg").mkdir(parents=True)
+    (repo / "src" / "pkg" / "a.py").write_text("a = 1\nb = 2\nc = 3\n")
+    (repo / "src" / "notes.txt").write_text("not python\n")
+    (repo / "top.py").write_text("outside src\n")
+    _commit(repo)
+    (repo / "src" / "pkg" / "a.py").write_text("a = 1\n")
+    (repo / "src" / "b.py").write_text("b = 2\nc = 3\nd = 4\n")
+    monkeypatch.setattr(bench, "ROOT", repo)
+    monkeypatch.setattr(bench, "run_once", lambda *args, **kwargs: traced(t=1.0))
+    out = tmp_path / "bench.json"
+    assert bench.main(["--seeds", "1-2", "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["src_lines"] == {"base": 3, "change": 4}

@@ -3,22 +3,30 @@ import random
 import pytest
 
 from kanbex import (
+    DEFAULT_LIMIT,
     CompositionError,
     EnumerationStatus,
+    OrderSpec,
     Path,
     RewriteSystem,
     Term,
     act,
+    complete,
     enumerate_extension,
     epsilon,
     format_term,
+    from_monoid_presentation,
+    initial_rules,
     naturality_check,
     reduce_term,
     tau_bar,
 )
 
-from .conftest import build_demo_presentation
+from .conftest import build_demo_presentation, coxeter
 from .oracles import all_terms, closure_partition
+from .test_bench_hooks import _bundled
+from .test_cli import BUNDLED
+from .test_random_completion import LIMITS, _draws
 
 PRES = build_demo_presentation()
 B = PRES.arrow_by_label
@@ -52,13 +60,46 @@ def test_rejects_non_confluent_system(demo_pres, demo_initial):
         enumerate_extension(demo_pres, demo_initial)
 
 
-def test_enumeration_partitions_by_target(demo_pres, demo_complete):
-    tables = enumerate_extension(demo_pres, demo_complete, limit=60)
+def check_partition(pres, system, limit, order=None):
+    """The catalogue's terms are reduced and sit over their keys, which
+    are the presentation's objects; they are built once, and each one's
+    name from the forest is its ``format_term`` text."""
+    tables = enumerate_extension(pres, system, limit=limit, order=order)
+    assert tables.elements is tables.elements
     assert sum(len(v) for v in tables.elements.values()) == tables.total
+    names = tables.names()
+    assert list(tables.elements) == list(names) == list(pres.ob_b)
     for obj, nfs in tables.elements.items():
+        assert names[obj] == tuple(format_term(nf) for nf in nfs)
         for nf in nfs:
             assert tau_bar(nf) == obj
-            assert reduce_term(nf, demo_complete) == nf
+            assert reduce_term(nf, system) == nf
+
+
+def test_enumeration_partitions_by_target(demo_pres, demo_complete):
+    check_partition(demo_pres, demo_complete, 60)
+
+
+def _catalogued(family, name):
+    """Each presentation of a problem, with the order it is completed
+    under: a bundled problem, Coxeter S4, or the draws of one seed of the
+    random corpus."""
+    if family == "random":
+        return [(pres, order) for _, pres, order in _draws(int(name[-1]), False)]
+    pres = from_monoid_presentation(coxeter(4)) if name == "coxeter4" else _bundled(family, name)
+    return [(pres, OrderSpec.from_presentation(pres))]
+
+
+@pytest.mark.parametrize("family,name", BUNDLED + [("monoid", "coxeter4")]
+                         + [("random", f"seed{seed}") for seed in (1, 2, 3)])
+def test_every_catalogue_partitions_by_target(family, name):
+    for pres, order in _catalogued(family, name):
+        result = complete(initial_rules(pres, order), order, **LIMITS)
+        # a few random draws outgrow the corpus's completion limits
+        assert result.complete or family == "random"
+        if result.complete:
+            for limit in (DEFAULT_LIMIT, 1, 7):
+                check_partition(pres, result.system, limit, order)
 
 
 def test_enumeration_matches_bounded_closure(demo_pres, demo_complete):
