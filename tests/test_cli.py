@@ -263,6 +263,39 @@ def test_order_flags(capsys, data_dir):
     assert code == 1
 
 
+def test_order_lenlex_is_the_default_and_the_only_choice(capsys, data_dir):
+    demo = str(data_dir / "infinite_extension.json")
+    assert run_cli(capsys, "rules", "--order", "lenlex", demo) == run_cli(capsys, "rules", demo)
+    code, out, err = run_cli(capsys, "rules", "--order", "shortlex", demo)
+    assert (code, out) == (1, "")
+    assert err.startswith("kanbex: error: argument --order: invalid choice")
+
+
+# A run meets its checks in a fixed order: load, validate, the element and
+# arrow orders, the command's own --limit/KANBEX_LIMIT/--term, and only
+# then completion.  Each argv below fails two checks (or one check and a
+# completion limit) and must report the earlier one.
+def test_errors_are_reported_in_pipeline_order(capsys, data_dir, tmp_path, monkeypatch):
+    demo = str(data_dir / "infinite_extension.json")
+    doc = json.loads((data_dir / "infinite_extension.json").read_text())
+    doc["FArrA"][1] = ["b2"]
+    bad = tmp_path / "bad_functor.json"
+    bad.write_text(json.dumps(doc))
+    # validation before the element order
+    assert run_cli(capsys, "rules", "--xorder", "zz", str(bad)) == (
+        1, "", f"kanbex: {bad}: FArrA[2]: path runs 2->3, expected 2->1\n")
+    # the element order before the enumeration limit
+    assert run_cli(capsys, "enumerate", "--xorder", "zz", "--limit", "0", demo) == (
+        1, "", "kanbex: error: element order must be a permutation of the element labels\n")
+    # the term before completion, and as bad input (exit 1), not a limit
+    assert run_cli(capsys, "reduce", "--term", "x1*nope", "--max-passes", "1", demo) == (
+        1, "", f"kanbex: {demo}: term: unknown arrow label 'nope'\n")
+    # the environment's limit before completion
+    monkeypatch.setenv("KANBEX_LIMIT", "banana")
+    assert run_cli(capsys, "enumerate", "--max-passes", "1", demo) == (
+        1, "", "kanbex: error: KANBEX_LIMIT is not an integer: 'banana'\n")
+
+
 def test_json_format_round_trips(capsys, data_dir):
     code, out, _ = run_cli(capsys, "complete", "--format", "json",
                            str(data_dir / "infinite_extension.json"))
