@@ -31,7 +31,10 @@ the first seed gives its per-layer metrics, kept under ``layers``: each
 side's value and, for counts and ratios, the working tree's over the
 revision's.  A time (unit ``s``) gets no ratio (null): each side's comes
 from one run, not scaled to the host's speed, so the two differ with
-the host as much as with the code.  The layers are not gated.
+the host as much as with the code.  The layers are not gated, but a
+count or ratio that the revision reports as non-zero and the working
+tree as 0, or not at all, is listed under ``lost`` and named on stderr:
+that is more often a layer the trace no longer reaches than work saved.
 
 ``src_lines`` holds each side's line count of ``src/**/*.py``, taken on
 the copies the runs use.
@@ -136,7 +139,8 @@ def compare(metric: dict, base: list[dict], change: list[dict]) -> dict:
 
 
 def layers(base: dict, change: dict) -> dict:
-    """The per-layer metrics of one traced run per side; times get no ratio."""
+    """The per-layer metrics of one traced run per side; times get no ratio.
+    ``lost`` names the counts and ratios non-zero on the base side only."""
     metrics = {}
     for name in {**base["metrics"], **change["metrics"]}:
         b, c = base["metrics"].get(name), change["metrics"].get(name)
@@ -144,8 +148,10 @@ def layers(base: dict, change: dict) -> dict:
         unit = (b or c)["unit"]
         metrics[name] = {"unit": unit, "base": old, "change": new,
                          "ratio": new / old if old and new is not None and unit != "s" else None}
+    lost = sorted(name for name, m in metrics.items()
+                  if m["unit"] != "s" and m["base"] and not m["change"])
     return {"correct": {"base": base["correct"], "change": change["correct"]},
-            "metrics": metrics}
+            "metrics": metrics, "lost": lost}
 
 
 def main(argv=None) -> int:
@@ -174,14 +180,20 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} {side}: "
                           f"{ {m: v['value'] for m, v in runs[side][-1]['metrics'].items()} }",
                           file=sys.stderr, flush=True)
+            traced = layers(*(run_once(tree, workload, args.seeds[0], seconds, trace=1)
+                              for tree in (base_tree, change_tree)))
+            for name in traced["lost"]:
+                m = traced["metrics"][name]
+                change = "nothing" if m["change"] is None else m["change"]
+                print(f"{workload}: layer {name} lost: {m['base']} on the revision, "
+                      f"{change} on the working tree", file=sys.stderr, flush=True)
             out["workloads"][workload] = {
                 "metrics": {m["name"]: compare(m, runs["base"], runs["change"])
                             for m in spec["end_to_end"]},
                 "runs": {side: [{"seed": seed, "correct": r["correct"], "failed": r["failed"]}
                                 for seed, r in zip(args.seeds, rs)]
                          for side, rs in runs.items()},
-                "layers": layers(*(run_once(tree, workload, args.seeds[0], seconds, trace=1)
-                                   for tree in (base_tree, change_tree))),
+                "layers": traced,
             }
     args.output.write_text(json.dumps(out, indent=2) + "\n", encoding="utf-8")
     return 0

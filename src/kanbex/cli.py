@@ -70,7 +70,8 @@ def _positive_int(value: str) -> int:
     return n
 
 
-def _add_common(sp) -> None:
+def _add_common(sp, run) -> None:
+    sp.set_defaults(run=run)
     sp.add_argument("file", help="presentation file (JSON)")
     sp.add_argument("--order", choices=["lenlex"], default="lenlex",
                     help="term ordering (only lenlex is available)")
@@ -94,26 +95,26 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("rules", help="print the initial rewrite system")
-    _add_common(sp)
+    _add_common(sp, _cmd_rules)
 
     sp = sub.add_parser("complete", help="run completion and print the rule set")
-    _add_common(sp)
+    _add_common(sp, _cmd_complete)
     _add_limits(sp)
 
     sp = sub.add_parser("enumerate", help="complete, then catalogue the extension sets")
-    _add_common(sp)
+    _add_common(sp, _cmd_enumerate)
     _add_limits(sp)
     sp.add_argument("--limit", type=int, default=None,
                     help=f"enumeration limit (default {DEFAULT_LIMIT}, or $KANBEX_LIMIT)")
 
     sp = sub.add_parser("reduce", help="print the normal form of a term")
-    _add_common(sp)
+    _add_common(sp, _cmd_reduce)
     _add_limits(sp)
     sp.add_argument("--term", required=True, metavar="x*b1*b2",
                     help="term as *-separated labels, tag first")
 
     sp = sub.add_parser("confluent", help="check local confluence of the initial system")
-    _add_common(sp)
+    _add_common(sp, _cmd_confluent)
 
     sp = sub.add_parser("encode", help="translate a problem descriptor into a presentation")
     sp.add_argument("family", choices=list(ENCODE_FAMILIES))
@@ -121,21 +122,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-o", "--output", default=None, help="write to a file instead of stdout")
 
     return parser
-
-
-def _load_validated(path: str) -> KanPresentation:
-    pres = load_presentation(path)
-    report = validate_presentation(pres)
-    if not report.ok:
-        raise PresentationError("; ".join(report.violations))
-    return pres
-
-
-def _order_from_args(args, pres: KanPresentation) -> OrderSpec:
-    try:
-        return OrderSpec.from_presentation(pres, x_order=args.xorder, delta_order=args.deltaorder)
-    except ValueError as e:
-        raise _UsageError(str(e)) from e
 
 
 def _rules_json(system: RewriteSystem) -> dict:
@@ -172,16 +158,12 @@ def _report_limit(result: CompletionResult) -> int:
     return EXIT_LIMIT
 
 
-def _cmd_rules(args) -> int:
-    pres = _load_validated(args.file)
-    order = _order_from_args(args, pres)
+def _cmd_rules(args, pres: KanPresentation, order: OrderSpec) -> int:
     _print_system(initial_rules(pres, order), pres, args.format)
     return EXIT_OK
 
 
-def _cmd_complete(args) -> int:
-    pres = _load_validated(args.file)
-    order = _order_from_args(args, pres)
+def _cmd_complete(args, pres: KanPresentation, order: OrderSpec) -> int:
     result = _run_completion(args, pres, order)
     if not result.complete:
         return _report_limit(result)
@@ -207,15 +189,14 @@ def _resolve_limit(args) -> int:
     return limit
 
 
-def _cmd_enumerate(args) -> int:
-    pres = _load_validated(args.file)
-    order = _order_from_args(args, pres)
+def _cmd_enumerate(args, pres: KanPresentation, order: OrderSpec) -> int:
     limit = _resolve_limit(args)
     result = _run_completion(args, pres, order)
     if not result.complete:
         return _report_limit(result)
 
     tables = enumerate_extension(pres, result.system, limit=limit, order=order)
+    exceeded = tables.status is EnumerationStatus.LIMIT_EXCEEDED
     if args.format == "json":
         payload = {
             "status": tables.status.value,
@@ -227,23 +208,19 @@ def _cmd_enumerate(args) -> int:
         }
         payload.update(_rules_json(result.system))
         print(json.dumps(payload, indent=2))
-        return EXIT_LIMIT if tables.status is EnumerationStatus.LIMIT_EXCEEDED else EXIT_OK
-
-    if tables.status is EnumerationStatus.LIMIT_EXCEEDED:
-        print("enumeration limit exceeded: complete rewrite system is:")
-        _print_system(result.system, pres, "text")
+    else:
+        if exceeded:
+            print("enumeration limit exceeded: complete rewrite system is:")
+            _print_system(result.system, pres, "text")
+        else:
+            names = tables.names()
+            for obj in pres.ob_b:
+                print(f"KB{obj}: {', '.join(names[obj])}")
         print(f"total={tables.total} status={tables.status.value}")
-        return EXIT_LIMIT
-    names = tables.names()
-    for obj in pres.ob_b:
-        print(f"KB{obj}: {', '.join(names[obj])}")
-    print(f"total={tables.total} status={tables.status.value}")
-    return EXIT_OK
+    return EXIT_LIMIT if exceeded else EXIT_OK
 
 
-def _cmd_reduce(args) -> int:
-    pres = _load_validated(args.file)
-    order = _order_from_args(args, pres)
+def _cmd_reduce(args, pres: KanPresentation, order: OrderSpec) -> int:
     term = list_as_term(args.term.split("*"), pres)
     result = _run_completion(args, pres, order)
     if not result.complete:
@@ -258,9 +235,7 @@ def _cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-def _cmd_confluent(args) -> int:
-    pres = _load_validated(args.file)
-    order = _order_from_args(args, pres)
+def _cmd_confluent(args, pres: KanPresentation, order: OrderSpec) -> int:
     answer = check_confluence(initial_rules(pres, order))
     if args.format == "json":
         print(json.dumps({"confluent": answer}))
@@ -280,25 +255,28 @@ def _cmd_encode(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "rules": _cmd_rules,
-    "complete": _cmd_complete,
-    "enumerate": _cmd_enumerate,
-    "reduce": _cmd_reduce,
-    "confluent": _cmd_confluent,
-    "encode": _cmd_encode,
-}
+def _run(args) -> int:
+    """Run one command: ``encode`` on its descriptor; any other on the
+    presentation it names, loaded, validated and ordered here, in that
+    order, before the command's own checks and its completion."""
+    if args.command == "encode":
+        return _cmd_encode(args)
+    pres = load_presentation(args.file)
+    report = validate_presentation(pres)
+    if not report.ok:
+        raise PresentationError("; ".join(report.violations))
+    try:
+        order = OrderSpec.from_presentation(pres, x_order=args.xorder, delta_order=args.deltaorder)
+    except ValueError as e:
+        raise _UsageError(str(e)) from e
+    return args.run(args, pres, order)
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as e:
-        print(f"kanbex: error: {e}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        return _COMMANDS[args.command](args)
+        return _run(args)
     except _UsageError as e:
         print(f"kanbex: error: {e}", file=sys.stderr)
         return EXIT_INVALID

@@ -154,3 +154,35 @@ def test_the_record_counts_each_sides_python_source_lines(monkeypatch, tmp_path,
     out = tmp_path / "bench.json"
     assert bench.main(["--seeds", "1-2", "-o", str(out)]) == 0
     assert json.loads(out.read_text())["src_lines"] == {"base": 3, "change": 4}
+
+
+def test_a_count_or_ratio_the_change_no_longer_reports_is_lost(monkeypatch, tmp_path, capsys):
+    base = {"correct": True, "failed": 0, "metrics": {
+        "pairs": {"value": 763, "unit": "count"}, "gone": {"value": 5, "unit": "count"},
+        "ratio": {"value": 0.5, "unit": "ratio"}, "zero": {"value": 0, "unit": "count"},
+        "kept": {"value": 7, "unit": "count"}, "t": {"value": 1.0, "unit": "s"}}}
+    change = {"correct": True, "failed": 0, "metrics": {
+        "pairs": {"value": 0, "unit": "count"}, "ratio": {"value": 0.0, "unit": "ratio"},
+        "zero": {"value": 0, "unit": "count"}, "kept": {"value": 3, "unit": "count"},
+        "t": {"value": 0, "unit": "s"}, "new": {"value": 2, "unit": "count"}}}
+    # a time that reads 0 and a count that was 0 on both sides are not lost
+    assert bench.layers(base, change)["lost"] == ["gone", "pairs", "ratio"]
+    assert bench.layers(change, base)["lost"] == ["new"]
+
+    def run_once(tree, workload, seed, seconds, trace=0):
+        if not trace:
+            return traced(t=1.0)
+        return change if tree.name == "change" else base
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    monkeypatch.setattr(bench, "export", lambda rev, into: "0" * 40)
+    monkeypatch.setattr(bench, "copy_worktree", lambda into: None)
+    out = tmp_path / "bench.json"
+    assert bench.main(["--seeds", "1-2", "-o", str(out)]) == 0
+    workloads = json.loads(out.read_text())["workloads"]
+    lines = [line for line in capsys.readouterr().err.splitlines() if " lost: " in line]
+    assert lines == [line for name in workloads for line in (
+        f"{name}: layer gone lost: 5 on the revision, nothing on the working tree",
+        f"{name}: layer pairs lost: 763 on the revision, 0 on the working tree",
+        f"{name}: layer ratio lost: 0.5 on the revision, 0.0 on the working tree")]
+    assert all(w["layers"]["lost"] == ["gone", "pairs", "ratio"] for w in workloads.values())
