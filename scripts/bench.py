@@ -3,7 +3,8 @@
 
     python3 scripts/bench.py --rev HEAD --seeds 601-610 -o BENCH_6.json
 
-For every workload in ``BENCHMARK.json`` and every seed,
+For every workload in ``BENCHMARK.json`` (or those that ``--workloads
+a,b`` names, in the file's order) and every seed,
 ``kanbench/run.py`` runs once, for the benchmark's ``run_seconds``, on a
 copy of the revision (``git archive`` into a temporary directory) and
 once on a copy of the working tree (its tracked files as they are on
@@ -160,8 +161,16 @@ def main(argv=None) -> int:
     parser.add_argument("--rev", default="HEAD", help="the revision to compare against")
     parser.add_argument("--seeds", type=seed_list, default=seed_list("601-610"))
     parser.add_argument("-o", "--output", type=Path, required=True)
+    parser.add_argument("--workloads", type=lambda text: text.split(","), default=None,
+                        metavar="A,B", help="run only these workloads (default: all)")
     args = parser.parse_args(argv)
     seconds = spec["run_seconds"]
+    names = [w["name"] for w in spec["workloads"]]
+    if args.workloads is not None:
+        unknown = sorted(set(args.workloads) - set(names))
+        if unknown:
+            parser.error(f"unknown workload: {', '.join(unknown)}")
+        names = [name for name in names if name in args.workloads]
 
     out = {"seconds": seconds, "seeds": args.seeds, "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
@@ -170,7 +179,7 @@ def main(argv=None) -> int:
         out["base"] = export(args.rev, base_tree)
         copy_worktree(change_tree)
         out["src_lines"] = {"base": src_lines(base_tree), "change": src_lines(change_tree)}
-        for workload in (w["name"] for w in spec["workloads"]):
+        for workload in names:
             runs = {"base": [], "change": []}
             for k, seed in enumerate(args.seeds):
                 order = ("base", "change") if k % 2 == 0 else ("change", "base")

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from .encodings import ENCODE_FAMILIES, encode_from_json
 from .kan import DEFAULT_LIMIT, EnumerationStatus, enumerate_extension
@@ -89,6 +90,7 @@ def _add_limits(sp) -> None:
                     help="leave the completed system un-normalized")
 
 
+@cache  # built on the first call to ``main``; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="kanbex",
                      description="Compute extensions of category actions by rewriting.")

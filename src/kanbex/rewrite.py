@@ -195,42 +195,63 @@ def _rewrite(side: tuple, idx: _RuleIndex) -> tuple[int, tuple]:
     """Rewrite a coded ``(source, word)`` until no rule applies; a term's
     word starts with its tag.  Each round applies the match with the
     leftmost start, the shortest at that start, so term rules (which
-    start at the tag) come first.  One left-to-right scan keeps
-    ``states[k]``, the state after ``word[:k]``; at each position the
+    start at the tag) come first.  A left-to-right scan keeps
+    ``states[k]``, the state after ``word[:k]``, in a table sized to the
+    word once: under length-lex no oriented rule makes a word longer, and
+    a hand-built rule that does grows the table.  At each position the
     longest match ending there has the earliest start of those ending
-    there.  The scan reads on only while a live prefix started left of
-    the best start so far, and after a rewrite resumes from the state at
-    the match's start."""
+    there.  A round reads in two phases.  The first reads to the first
+    match.  The second reads on only while a live prefix started left of
+    the best start so far, which happens only when one lhs contains
+    another, as in a system not yet interreduced.  After a rewrite the
+    scan resumes from the state at the match's start."""
     source, word = side
     word = list(word)
-    states = [idx.root]
-    push = states.append
-    s = states[0]
-    k = 0
     n = len(word)
-    best = n + 1  # start of the leftmost match so far; past the end: none
+    states = [None] * (n + 1)
+    s = states[0] = idx.root
+    k = 0
     while True:
+        while k < n:
+            c = word[k]
+            try:
+                s = s[2][c]
+            except KeyError:
+                s = _goto(s, c)
+            k += 1
+            states[k] = s
+            m = s[5]
+            if m is not None:
+                # past the terminals that ``interreduce`` cleared
+                while m is not None and m[0] is None:
+                    m = m[4][5]
+                if m is not None:
+                    break
+        else:
+            return source, tuple(word)
+        best, end, rhs = k - m[3], k, m[0]
         while k < n and k - s[3] < best:
             c = word[k]
-            s = s[2].get(c) or _goto(s, c)
+            try:
+                s = s[2][c]
+            except KeyError:
+                s = _goto(s, c)
             k += 1
-            push(s)
+            states[k] = s
             m = s[5]
             if m is not None:
                 while m is not None and m[0] is None:
                     m = m[4][5]
                 if m is not None and k - m[3] < best:
                     best, end, rhs = k - m[3], k, m[0]
-        if best > n:
-            return source, tuple(word)
         if not best:
             source = rhs[0]
         word[best:end] = rhs[1]
-        del states[best + 1:]
+        n = len(word)
+        if n >= len(states):
+            states += [None] * (n + 1 - len(states))
         s = states[best]
         k = best
-        n = len(word)
-        best = n + 1
 
 
 # Term and path reductions are the same rewrite; they keep two names so
@@ -501,7 +522,9 @@ def complete(
     forms: dict[tuple, tuple] = {}
 
     def normal_form(side: tuple, reduce) -> tuple:
-        known = memo.setdefault(len(side[1]), {})
+        known = memo.get(len(side[1]))
+        if known is None:
+            known = memo[len(side[1])] = {}
         nf = known.get(side)
         if nf is None:
             nf = reduce(side, idx)
@@ -523,7 +546,7 @@ def complete(
         pairs.sort()
         old += new
         new = []
-        for *_, left, right in pairs:
+        for _, _, _, _, left, right in pairs:
             term = _is_term(left[1])
             reduce = _reduce_term if term else _reduce_path
             rule = _oriented(normal_form(left, reduce), normal_form(right, reduce), x_rank)

@@ -2,7 +2,7 @@
 
 Nothing here reuses the engine's rewriting, overlap or enumeration
 code.  Rewriting is fully nondeterministic (every rule at every
-position), except in ``reference_reduce``, which restates the engine's
+position), except in ``reference_steps``, which restates the engine's
 documented strategy on slices; equivalence is computed by undirected
 closure over a bounded universe, and overlaps are found by sliding one
 left-hand side across the other, or, in the engine's own order and
@@ -109,15 +109,16 @@ def brute_normal_form(t: Term, system: RewriteSystem) -> Term:
     return irreducible.pop()
 
 
-def reference_reduce(word: Term | Path, system: RewriteSystem) -> Term | Path:
-    """Reduce by the documented strategy, trying every rule at every
-    position on slices.  Each round applies the occurrence of a left-hand
-    side that starts leftmost (a term rule's starts at the tag, left of
-    every arrow), the shortest at that start, and for one left-hand side
-    the rule listed first in ``system.rules``.  A bare path sees only the
-    path rules, and a path rule with an empty left-hand side never
-    applies."""
+def reference_steps(word: Term | Path, system: RewriteSystem):
+    """``word`` and then each word it is rewritten to, by the documented
+    strategy, trying every rule at every position on slices.  Each round
+    applies the occurrence of a left-hand side that starts leftmost (a
+    term rule's starts at the tag, left of every arrow), the shortest at
+    that start, and for one left-hand side the rule listed first in
+    ``system.rules``.  A bare path sees only the path rules, and a path
+    rule with an empty left-hand side never applies."""
     rules = system.rules
+    yield word
     while True:
         tag = word.tag if isinstance(word, Term) else None
         path = word.path if tag is not None else word
@@ -135,7 +136,7 @@ def reference_reduce(word: Term | Path, system: RewriteSystem) -> Term | Path:
                 if best is None or (start, len(l)) < best[:2]:
                     best = (start, len(l), rule)
         if best is None:
-            return word
+            return
         start, n, rule = best
         if start == 0:
             rest = rule.rhs.path.arrows + arrows[n:]
@@ -143,6 +144,14 @@ def reference_reduce(word: Term | Path, system: RewriteSystem) -> Term | Path:
         else:
             rest = arrows[: start - 1] + rule.rhs.arrows + arrows[start - 1 + n :]
             word = Term(tag, Path(path.source, rest)) if tag is not None else Path(path.source, rest)
+        yield word
+
+
+def reference_reduce(word: Term | Path, system: RewriteSystem) -> Term | Path:
+    """The last of ``reference_steps``: the normal form of ``word``."""
+    for word in reference_steps(word, system):
+        pass
+    return word
 
 
 # --- bounded universes ---

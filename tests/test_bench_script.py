@@ -186,3 +186,30 @@ def test_a_count_or_ratio_the_change_no_longer_reports_is_lost(monkeypatch, tmp_
         f"{name}: layer pairs lost: 763 on the revision, 0 on the working tree",
         f"{name}: layer ratio lost: 0.5 on the revision, 0.0 on the working tree")]
     assert all(w["layers"]["lost"] == ["gone", "pairs", "ratio"] for w in workloads.values())
+
+
+def test_a_workload_filter_runs_only_the_named_workloads(monkeypatch, tmp_path, repo):
+    spec = json.loads((repo / "BENCHMARK.json").read_text())
+    spec["workloads"] = [{"name": name} for name in ("w", "v", "u")]
+    (repo / "BENCHMARK.json").write_text(json.dumps(spec))
+    ran = []
+
+    def run_once(tree, workload, seed, seconds, trace=0):
+        ran.append(workload)
+        return traced(t=1.0)
+
+    monkeypatch.setattr(bench, "ROOT", repo)
+    monkeypatch.setattr(bench, "run_once", run_once)
+    monkeypatch.setattr(bench, "export", lambda rev, into: "0" * 40)
+    monkeypatch.setattr(bench, "copy_worktree", lambda into: None)
+    out = tmp_path / "bench.json"
+    # the file's order, whatever the order named
+    assert bench.main(["--seeds", "1-2", "--workloads", "u,w", "-o", str(out)]) == 0
+    assert list(json.loads(out.read_text())["workloads"]) == ["w", "u"]
+    assert sorted(set(ran)) == ["u", "w"] and len(ran) == 2 * (4 + 2)
+    ran.clear()
+    assert bench.main(["--seeds", "1-2", "-o", str(out)]) == 0
+    assert list(json.loads(out.read_text())["workloads"]) == ["w", "v", "u"]
+    with pytest.raises(SystemExit) as stop:
+        bench.main(["--seeds", "1-2", "--workloads", "w,nope", "-o", str(out)])
+    assert stop.value.code == 2

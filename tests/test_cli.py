@@ -296,6 +296,23 @@ def test_errors_are_reported_in_pipeline_order(capsys, data_dir, tmp_path, monke
         1, "", "kanbex: error: KANBEX_LIMIT is not an integer: 'banana'\n")
 
 
+def test_one_parser_serves_every_call_in_a_process(capsys, data_dir):
+    # the parser is built on the first call and kept: what one call sets
+    # never carries to the next, and --help reads the same each time
+    demo = str(data_dir / "infinite_extension.json")
+    plain = run_cli(capsys, "complete", demo)
+    assert run_cli(capsys, "complete", demo, "--format", "json", "--no-interreduce",
+                   "--xorder", "y2,y1,x3,x2,x1")[0] == 0
+    assert run_cli(capsys, "complete", demo) == plain
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as stop:
+            main(["enumerate", "--help"])
+        assert stop.value.code == 0
+        helps.append(capsys.readouterr())
+    assert helps[0] == helps[1] and "--limit LIMIT" in helps[0].out
+
+
 def test_json_format_round_trips(capsys, data_dir):
     code, out, _ = run_cli(capsys, "complete", "--format", "json",
                            str(data_dir / "infinite_extension.json"))

@@ -42,6 +42,7 @@ from .oracles import (
     random_presentation,
     random_term,
     reference_reduce,
+    reference_steps,
 )
 
 PRES = build_demo_presentation()
@@ -360,6 +361,9 @@ TIE_BREAKS = [
     (("x|>y|", "y|a>x|b"), "x|ab", "y|bb"),
     # term rules before path rules
     (("a>b", "x|a>y|"), "x|a", "y|"),
+    # a rule that lengthens the word, which no oriented rule does
+    (("a>bc",), "ab", "bcb"),
+    (("a>bc",), "x|aa", "x|bcbc"),
 ]
 
 
@@ -436,6 +440,28 @@ def test_reduction_follows_the_reference_strategy():
             assert reduce_term(term, system) == reference_reduce(term, system)
             assert reduce_path(path, system) == reference_reduce(path, system)
     assert min(seen.values()) >= 15, seen
+
+
+def test_long_words_reduce_by_the_reference_strategy():
+    # seeded random words of 40 to 64 letters against completed Coxeter
+    # S5, whose normal forms have at most 10 letters, so that each word
+    # takes many rewrites, resuming mid-word after each
+    pres = from_monoid_presentation(coxeter(5))
+    order = OrderSpec.from_presentation(pres)
+    result = complete(initial_rules(pres, order), order)
+    assert result.complete
+    system = result.system
+    gens = [a.label for a in pres.arr_b]
+    rng = random.Random(16)
+    rewrites = []
+    for _ in range(24):
+        term = list_as_term(("e", *rng.choices(gens, k=rng.randint(40, 64))), pres)
+        for word in (term, term.path):
+            steps = list(reference_steps(word, system))
+            got = reduce_term(word, system) if isinstance(word, Term) else reduce_path(word, system)
+            assert got == steps[-1]
+            rewrites.append(len(steps) - 1)
+    assert sum(rewrites) / len(rewrites) >= 20, rewrites
 
 
 def test_presentations_sharing_a_label_reduce_independently():
