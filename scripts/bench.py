@@ -37,13 +37,17 @@ count or ratio that the revision reports as non-zero and the working
 tree as 0, or not at all, is listed under ``lost`` and named on stderr:
 that is more often a layer the trace no longer reaches than work saved.
 
-``src_lines`` holds each side's line count of ``src/**/*.py``, taken on
-the copies the runs use.
+``src_lines`` holds each side's line count of ``src/**/*.py``, and
+``src_code_lines`` the lines of those files that hold code: not blank,
+not only a comment, and no line of a docstring.  Both are taken on the
+copies the runs use.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import shutil
 import statistics
@@ -51,6 +55,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -95,6 +100,28 @@ def copy_worktree(into: Path) -> None:
 def src_lines(tree: Path) -> int:
     """Lines of the Python files under ``tree/src``, as ``wc -l`` counts them."""
     return sum(p.read_bytes().count(b"\n") for p in tree.glob("src/**/*.py"))
+
+
+def src_code_lines(tree: Path) -> int:
+    """Lines of the Python files under ``tree/src`` that hold a token
+    other than a comment or a docstring."""
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+            tokenize.DEDENT, tokenize.ENDMARKER}
+    total = 0
+    for path in tree.glob("src/**/*.py"):
+        text = path.read_text(encoding="utf-8")
+        # a docstring is the first statement of a module, class or function
+        docs = {(node.body[0].lineno, node.body[0].col_offset)
+                for node in ast.walk(ast.parse(text))
+                if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                     ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None}
+        lines = set()
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type not in skip and not (tok.type == tokenize.STRING and tok.start in docs):
+                lines.update(range(tok.start[0], tok.end[0] + 1))
+        total += len(lines)
+    return total
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -179,6 +206,8 @@ def main(argv=None) -> int:
         out["base"] = export(args.rev, base_tree)
         copy_worktree(change_tree)
         out["src_lines"] = {"base": src_lines(base_tree), "change": src_lines(change_tree)}
+        out["src_code_lines"] = {"base": src_code_lines(base_tree),
+                                 "change": src_code_lines(change_tree)}
         for workload in names:
             runs = {"base": [], "change": []}
             for k, seed in enumerate(args.seeds):

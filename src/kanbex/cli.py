@@ -31,6 +31,8 @@ from .model import (
 )
 from .ordering import OrderSpec
 from .rewrite import (
+    DEFAULT_MAX_PASSES,
+    DEFAULT_MAX_RULES,
     CompletionResult,
     RewriteSystem,
     check_confluence,
@@ -84,8 +86,8 @@ def _add_common(sp, run) -> None:
 
 
 def _add_limits(sp) -> None:
-    sp.add_argument("--max-rules", type=_positive_int, default=10000)
-    sp.add_argument("--max-passes", type=_positive_int, default=100)
+    sp.add_argument("--max-rules", type=_positive_int, default=DEFAULT_MAX_RULES)
+    sp.add_argument("--max-passes", type=_positive_int, default=DEFAULT_MAX_PASSES)
     sp.add_argument("--no-interreduce", action="store_true",
                     help="leave the completed system un-normalized")
 
@@ -175,17 +177,13 @@ def _cmd_complete(args, pres: KanPresentation, order: OrderSpec) -> int:
 
 
 def _resolve_limit(args) -> int:
-    if args.limit is not None:
-        limit = args.limit
-    else:
-        raw = os.environ.get("KANBEX_LIMIT")
-        if raw is None:
-            limit = DEFAULT_LIMIT
-        else:
-            try:
-                limit = int(raw)
-            except ValueError:
-                raise _UsageError(f"KANBEX_LIMIT is not an integer: {raw!r}")
+    limit = args.limit
+    if limit is None:
+        raw = os.environ.get("KANBEX_LIMIT", str(DEFAULT_LIMIT))
+        try:
+            limit = int(raw)
+        except ValueError:
+            raise _UsageError(f"KANBEX_LIMIT is not an integer: {raw!r}")
     if limit < 1:
         raise _UsageError("enumeration limit must be positive")
     return limit

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 from .model import Arrow, CompositionError, KanPresentation, Path, Term
 from .ordering import OrderSpec
-from .rewrite import RewriteSystem, _goto, check_confluence, reduce_term
+from .rewrite import RewriteSystem, _step, check_confluence, reduce_term
 
 DEFAULT_LIMIT = 1000
 
@@ -87,18 +87,9 @@ class KanTables:
         return {obj: tuple(fs) for obj, fs in by_target.items()}
 
 
-def _extension_reducible(state: list, code: int) -> list | None:
-    """Advance an irreducible term's automaton state by one arrow's code.
-
-    The state is the one the rule index reaches after reading the term's
-    tag and path.  The term was irreducible, so a match in the extension
-    ends at the new arrow, and one does exactly when the new state has
-    an output: a system's index holds a right-hand side at every
-    terminal.  Returns None when the extension is reducible and its
-    state otherwise.
-    """
-    state = state[2].get(code) or _goto(state, code)
-    return None if state[5] is not None else state
+# the one-arrow step of an irreducible form, under the name by which the
+# candidates are counted; stage one steps from the root under ``_step``
+_extension_reducible = _step
 
 
 def enumerate_extension(
@@ -120,10 +111,9 @@ def enumerate_extension(
     if order is None:
         order = OrderSpec.from_presentation(pres)
     idx = system._index
-    root = idx.root
 
-    # the forest (see KanTables), and each form's automaton state (see
-    # _extension_reducible)
+    # the forest (see KanTables), and each form's rule index state (see
+    # rewrite._step)
     parents: list[int] = []
     steps: list[str | Arrow] = []
     targets: list[int] = []
@@ -134,8 +124,8 @@ def enumerate_extension(
     # an empty path is never a left-hand side, so x|id is irreducible
     # exactly when reading its tag gives no output
     for x in sorted(pres.x_labels, key=lambda l: order.x_rank[l]):
-        state = _goto(root, x)
-        if state[5] is not None:
+        state = _step(idx.root, x)
+        if state is None:
             continue
         if total >= limit:
             exceeded = True

@@ -31,6 +31,8 @@ from .model import (
 )
 from .ordering import OrderSpec, word_key
 
+DEFAULT_MAX_RULES, DEFAULT_MAX_PASSES = 10000, 100
+
 
 @dataclass(frozen=True)
 class EpsRule:
@@ -62,7 +64,8 @@ class _RuleIndex:
     its tag, a str, so a tag never equals an arrow's int and only starts
     a word.  A rule is coded as its two sides, ``(lhs source, lhs word,
     rhs source, rhs word)``.  One trie holds both kinds of rule, keyed by
-    the lhs word.
+    the lhs word.  ``rules`` holds the coded rules the index was built
+    from, in the order given; ``add`` does not extend it.
 
     A node is ``[rhs, children, delta, depth, fail, out]``.  ``rhs`` is
     None unless a left-hand side ends at the node; it is the rule's
@@ -80,11 +83,13 @@ class _RuleIndex:
     the containments, the failure chains the end overlaps.
     Insertion never overwrites an ``rhs``, so the first-added rule wins
     for a given left-hand side.  A system's cached index is shared and
-    only read; only ``complete`` and ``interreduce`` change the indexes
-    they build.
+    keeps its rules, but ``_goto`` memoises transitions into its nodes,
+    and ``enumerate_extension`` and ``reduce_term`` intern arrows it has
+    not seen, under ``_lock``; only ``complete`` and ``interreduce``
+    change the rules of the indexes they build.
     """
 
-    __slots__ = ("codes", "arrows", "root", "_lock")
+    __slots__ = ("codes", "arrows", "root", "rules", "_lock")
 
     def __init__(self, rules: tuple[Rule, ...] = (), order: OrderSpec | None = None,
                  arrows: Iterable[Arrow] = ()):
@@ -101,8 +106,9 @@ class _RuleIndex:
             unique = {a.label: a for a in (*arrows, *(a for p in sides for a in p.arrows))}
             self.intern(tuple(sorted(unique.values(), key=lambda a: order.delta_rank[a.label])))
         self.root = [None, {}, {}, 0, None, None]
-        for r in rules:
-            self._insert(self.code(r))
+        self.rules = tuple([self.code(r) for r in rules])
+        for r in self.rules:
+            self._insert(r)
         self._link()
 
     def intern(self, arrows: tuple[Arrow, ...]) -> tuple[int, ...]:
@@ -191,6 +197,16 @@ def _goto(node: list, code) -> list:
     return nxt
 
 
+def _step(state: list, code) -> list | None:
+    """The state after reading ``code`` in ``state``, or None when that
+    state has an output.  Stepping from the state of a word no rule
+    reduces, None says that the word with ``code`` appended is reducible:
+    a match in it ends at the new letter, and a system's index holds a
+    right-hand side at every terminal."""
+    state = state[2].get(code) or _goto(state, code)
+    return None if state[5] is not None else state
+
+
 def _rewrite(side: tuple, idx: _RuleIndex) -> tuple[int, tuple]:
     """Rewrite a coded ``(source, word)`` until no rule applies; a term's
     word starts with its tag.  Each round applies the match with the
@@ -254,8 +270,8 @@ def _rewrite(side: tuple, idx: _RuleIndex) -> tuple[int, tuple]:
         k = best
 
 
-# Term and path reductions are the same rewrite; they keep two names so
-# that the benchmark can stamp and count each kind.
+# Term and path reductions are the same rewrite under two names: the
+# benchmark stamps calls to both, and the tests count each kind.
 _reduce_term = _reduce_path = _rewrite
 
 
@@ -421,7 +437,7 @@ def find_critical_pairs(system: RewriteSystem) -> list[CriticalPair]:
     overlap, a suffix of the host's lhs that is a prefix of the other's,
     by length."""
     idx = system._index
-    pairs = _critical_pairs(idx, [], list(enumerate(map(idx.code, system.rules))))
+    pairs = _critical_pairs(idx, [], list(enumerate(idx.rules)))
     # containments ("i", "ii", "v") before end overlaps ("iii", "iv")
     pairs.sort(key=lambda cp: (cp[1], cp[0] in ("iii", "iv"), cp[2]))
     return [CriticalPair(idx.decode(*left), idx.decode(*right), case, rules)
@@ -440,18 +456,11 @@ def check_confluence(system: RewriteSystem) -> bool:
     critical pairs are read off the system's index as coded sides, and
     each pair resolves when its two sides reduce to the same word."""
     idx = system._index
-    for *_, left, right in _critical_pairs(idx, [], list(enumerate(map(idx.code, system.rules)))):
+    for *_, left, right in _critical_pairs(idx, [], list(enumerate(idx.rules))):
         reduce = _reduce_term if _is_term(left[1]) else _reduce_path
         if reduce(left, idx) != reduce(right, idx):
             return False
     return True
-
-
-def _ranked(system: RewriteSystem, order: OrderSpec) -> tuple[_RuleIndex, list[tuple]]:
-    """A fresh index holding ``system``'s rules, interned in ``order``'s
-    rank, and the rules coded in it."""
-    idx = _RuleIndex(system.rules, order)
-    return idx, [idx.code(r) for r in system.rules]
 
 
 def _oriented(a: tuple, b: tuple, x_rank) -> tuple | None:
@@ -471,8 +480,8 @@ def complete(
     system: RewriteSystem,
     order: OrderSpec,
     *,
-    max_rules: int = 10000,
-    max_passes: int = 100,
+    max_rules: int = DEFAULT_MAX_RULES,
+    max_passes: int = DEFAULT_MAX_PASSES,
     max_rule_length: int | None = None,
     interreduce_after: bool = True,
 ) -> CompletionResult:
@@ -498,9 +507,10 @@ def complete(
         raise ValueError("limits must be positive")
     # holds the current rules: a term lhs never equals a path lhs, and
     # each kind keeps its order, so first-added still wins per lhs
-    idx, rules = _ranked(system, order)
+    idx = _RuleIndex(system.rules, order)
     x_rank = order.x_rank
-    terms, paths = rules[:len(system.term_rules)], rules[len(system.term_rules):]
+    terms = list(idx.rules[:len(system.term_rules)])
+    paths = list(idx.rules[len(terms):])
     # a rule's rank, (kind, position within its kind), stays put when term
     # rules are appended; ``new`` holds the rules added since the last pass
     # began, ``old`` the others, and ``pairs`` the sorted pairs of ``old``
@@ -580,7 +590,8 @@ def interreduce(system: RewriteSystem, order: OrderSpec) -> RewriteSystem:
     whole set and every left-hand side is irreducible with respect to
     the other rules; rules whose sides collapse together are dropped.
     """
-    idx, rules = _ranked(system, order)
+    idx = _RuleIndex(system.rules, order)
+    rules = list(idx.rules)
     # the rules by coded lhs, in list order: an lhs's trie node holds the
     # rhs of the first of them
     owners: dict[tuple, list[tuple]] = {}
@@ -629,7 +640,7 @@ def format_system(system: RewriteSystem, order: OrderSpec) -> list[str]:
     of the left-hand side, which puts path rules before term rules at
     equal length, then by ``word_key`` of the right-hand side.  The order
     is the same whatever order the rules come in."""
-    idx, rules = _ranked(system, order)
-    x_rank = order.x_rank
-    rules.sort(key=lambda r: (len(r[1]), word_key(r[1], x_rank), word_key(r[3], x_rank)))
+    idx = _RuleIndex(system.rules, order)
+    rules = sorted(idx.rules, key=lambda r: (len(r[1]), word_key(r[1], order.x_rank),
+                                              word_key(r[3], order.x_rank)))
     return [format_rule(idx.rule(r)) for r in rules]

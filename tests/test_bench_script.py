@@ -156,6 +156,42 @@ def test_the_record_counts_each_sides_python_source_lines(monkeypatch, tmp_path,
     assert json.loads(out.read_text())["src_lines"] == {"base": 3, "change": 4}
 
 
+CODE = '''"""A module docstring
+over two lines."""
+
+# a comment
+x = 1  # a comment after code
+
+
+class C:
+    """A class docstring."""
+
+    def f(self):
+        """A method docstring."""
+        return """a string
+        that is no docstring"""
+'''
+
+
+def test_the_record_counts_each_sides_code_lines(monkeypatch, tmp_path, repo):
+    (repo / "src").mkdir()
+    (repo / "src" / "a.py").write_text(CODE)
+    (repo / "top.py").write_text("outside = src\n")
+    _commit(repo)
+    # x = 1, class C:, def f(self):, and the two lines of the returned string
+    assert bench.src_code_lines(repo) == 5
+    # a docstring edit moves src_lines only
+    (repo / "src" / "a.py").write_text(CODE.replace("over two lines.", "over\nthree lines."))
+    (repo / "src" / "b.py").write_text("def g():\n    return 1\n")
+    monkeypatch.setattr(bench, "ROOT", repo)
+    monkeypatch.setattr(bench, "run_once", lambda *args, **kwargs: traced(t=1.0))
+    out = tmp_path / "bench.json"
+    assert bench.main(["--seeds", "1-2", "-o", str(out)]) == 0
+    result = json.loads(out.read_text())
+    assert result["src_lines"] == {"base": 14, "change": 17}
+    assert result["src_code_lines"] == {"base": 5, "change": 7}
+
+
 def test_a_count_or_ratio_the_change_no_longer_reports_is_lost(monkeypatch, tmp_path, capsys):
     base = {"correct": True, "failed": 0, "metrics": {
         "pairs": {"value": 763, "unit": "count"}, "gone": {"value": 5, "unit": "count"},

@@ -1,11 +1,12 @@
 import hashlib
+import inspect
 import json
 import pathlib
 
 import pytest
 
-from kanbex import from_monoid_presentation, parse_presentation, presentation_to_json
-from kanbex.cli import main
+from kanbex import complete, from_monoid_presentation, parse_presentation, presentation_to_json
+from kanbex.cli import _build_parser, main
 
 from .conftest import VON_DYCK
 
@@ -228,6 +229,14 @@ def test_non_positive_completion_limit_is_usage_error(capsys, data_dir, argv):
     reason = (f"must be positive, got {value}" if value.lstrip("-").isdigit()
               else f"invalid int value: {value!r}")
     assert (code, out, err) == (1, "", f"kanbex: error: argument {flag}: {reason}\n")
+
+
+@pytest.mark.parametrize("argv", [("complete",), ("enumerate",), ("reduce", "--term", "x1")])
+def test_the_cli_takes_its_completion_limits_from_complete(argv):
+    args = _build_parser().parse_args([*argv, "input.json"])
+    limits = inspect.signature(complete).parameters
+    assert (args.max_rules, args.max_passes) == \
+        (limits["max_rules"].default, limits["max_passes"].default) == (10000, 100)
 
 
 # Listings are sorted in declaration order whatever --xorder/--deltaorder

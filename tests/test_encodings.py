@@ -10,6 +10,7 @@ from kanbex import (
     PresentationError,
     complete,
     conjugation_action,
+    encode_from_json,
     enumerate_extension,
     format_rule,
     format_term,
@@ -24,6 +25,7 @@ from kanbex import (
     initial_rules,
     validate_presentation,
 )
+from kanbex import encodings
 
 from .oracles import (
     UnionFind,
@@ -365,6 +367,27 @@ def test_conjugation_requires_inverses():
     with pytest.raises(PresentationError, match="inverse"):
         conjugation_action(QUATERNION, Q8_ELEMENTS,
                            {"a": ("a",), "b": ("a", "a", "b")})
+
+
+def test_conjugation_requires_a_completed_group(monkeypatch):
+    full = encodings.complete
+    monkeypatch.setattr(encodings, "complete",
+                        lambda system, order: full(system, order, max_passes=1))
+    with pytest.raises(PresentationError, match="^group relations did not complete"):
+        conjugation_action(QUATERNION, Q8_ELEMENTS, Q8_INVERSES)
+
+
+def test_conjugation_requires_distinct_elements_closed_under_conjugation():
+    with pytest.raises(PresentationError, match="^element words are not distinct"):
+        conjugation_action(QUATERNION, Q8_ELEMENTS + [("b", "b")], Q8_INVERSES)
+    # a3 is left out, and b^-1 a b = a^3 in Q8
+    with pytest.raises(PresentationError, match="^element list is not closed under conj"):
+        conjugation_action(QUATERNION, Q8_ELEMENTS[:6], Q8_INVERSES)
+
+
+def test_unknown_encoding_family():
+    with pytest.raises(PresentationError, match="^unknown encoding family 'nope'$"):
+        encode_from_json("nope", {})
 
 
 # --- colimits ---

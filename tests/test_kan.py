@@ -180,6 +180,11 @@ def test_naturality(demo_pres, demo_initial, demo_complete):
     assert naturality_check(demo_pres, demo_initial)
 
 
+def test_naturality_fails_without_the_rules(demo_pres):
+    # with no rules, x|F(a) is not reduced to x.a|id
+    assert not naturality_check(demo_pres, RewriteSystem())
+
+
 def test_naturality_vacuous_without_arrows():
     from kanbex import KanPresentation
 

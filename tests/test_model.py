@@ -164,6 +164,17 @@ def test_list_as_term_checks_composability(demo_pres):
         list_as_term(["x1", "zz"], demo_pres)
 
 
+def test_list_as_term_needs_a_tag(demo_pres):
+    with pytest.raises(PresentationError, match="^term list is empty$"):
+        list_as_term([], demo_pres)
+
+
+def test_path_length_counts_arrows(demo_pres):
+    b = demo_pres.arrow_by_label
+    assert len(Path.identity(1)) == 0
+    assert len(Path(1, (b["b5"], b["b3"]))) == 2
+
+
 def test_format_path(demo_pres):
     b = demo_pres.arrow_by_label
     assert format_path(Path.identity(1)) == "IdWord"
