@@ -270,7 +270,7 @@ def conjugation_action(
     # the group's one-object category with no points, whose initial rules
     # are its relations, oriented
     pres = _finish(KanPresentation((), (), (1,), arrows, rels, (), (), (), ()))
-    order = OrderSpec(x_rank={}, delta_rank={g: i for i, g in enumerate(group.generators)})
+    order = OrderSpec.from_presentation(pres)
     result = complete(initial_rules(pres, order), order)
     if not result.complete:
         raise PresentationError("group relations did not complete; cannot derive conjugation")

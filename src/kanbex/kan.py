@@ -136,9 +136,9 @@ def enumerate_extension(
         states.append(state)
         total += 1
 
-    arrows_by_src: dict[int, list[tuple[Arrow, int]]] = {}
+    arrows_by_src: dict[int, list[tuple[Arrow, int | Arrow]]] = {}
     for a in sorted(pres.arr_b, key=lambda a: order.delta_rank[a.label]):
-        arrows_by_src.setdefault(a.src, []).append((a, idx.intern((a,))[0]))
+        arrows_by_src.setdefault(a.src, []).append((a, idx.lookup((a,))[0]))
 
     # forms are extended in the order they were found, so each stage is
     # extended after the whole of the one before it

@@ -8,9 +8,9 @@ comparison is deterministic and user-controllable without code changes.
 
 ``word_key`` is the one definition of the order: on words of arrow
 codes, a term's word starting with its tag.  The rule index in
-``rewrite`` is what codes paths and terms, interning arrows in
-``delta_rank`` order; two paths (or two terms) so coded compare as their
-words' keys do, and equal keys mean equal label lists.
+``rewrite`` is what codes paths and terms, assigning the codes in
+``delta_rank`` order when it is built; two paths (or two terms) so coded
+compare as their words' keys do, and equal keys mean equal label lists.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ def word_key(word: tuple, x_rank: Mapping[str, int]) -> tuple:
     then a term's tag by ``x_rank``, then the codes left to right.
 
     Words compare as the paths and terms they code only when the codes
-    increase with ``delta_rank``: an arrow coded by its rank, or arrows
-    interned in rank order.
+    increase with ``delta_rank``: an arrow coded by its rank, or the
+    codes a rule index assigns in rank order when it is built.
     """
     if word and isinstance(word[0], str):
         return 1, len(word), x_rank[word[0]], word

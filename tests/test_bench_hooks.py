@@ -89,13 +89,14 @@ def test_counted_calls_resolve(bench):
 
 
 
-def _log_calls(monkeypatch, calls: list, module, attr) -> None:
-    """Replace ``module.attr`` by a wrapper that appends ``attr`` to
-    ``calls`` and calls through, as the benchmark's own wrappers do."""
+def _log_calls(monkeypatch, calls: list, module, attr, name=None) -> None:
+    """Replace ``module.attr`` by a wrapper that appends ``name`` (by
+    default ``attr``) to ``calls`` and calls through, as the benchmark's
+    own wrappers do."""
     fn = getattr(module, attr)
 
     def logged(*args, **kwargs):
-        calls.append(attr)
+        calls.append(name or attr)
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(module, attr, logged)
@@ -105,6 +106,36 @@ def _bundled(family, name):
     if family is None:
         return load_presentation(str(DATA / name))
     return encode_from_json(family, json.loads((DATA / name).read_text()))
+
+
+# the names in ``spans.LAYER_CALLS`` that a CLI run on Coxeter S4 calls.
+# The benchmark times a layer only through these names, so a change that
+# stopped calling one (a ``complete`` that interreduced without calling
+# ``interreduce``, say) would read 0 s there and lose no count.
+# ``rewrite.find_critical_pairs`` is listed but no CLI run reaches it:
+# ``check_confluence`` reads coded pairs off the rule index
+_PIPELINE = {"cli.load_presentation", "cli.validate_presentation", "cli.initial_rules",
+             "cli.complete", "rewrite.interreduce"}
+LAYERS_REACHED = {
+    "enumerate": _PIPELINE | {"cli.enumerate_extension", "kan.check_confluence"},
+    "reduce": _PIPELINE | {"cli.format_term"},
+}
+
+
+def test_a_cli_run_reaches_each_timed_layer(bench, monkeypatch, capsys, tmp_path):
+    f = tmp_path / "coxeter4.json"
+    f.write_text(json.dumps(presentation_to_json(from_monoid_presentation(coxeter(4)))))
+    calls = []
+    for module, attr, _, _ in bench.spans.LAYER_CALLS:
+        _log_calls(monkeypatch, calls, importlib.import_module(f"kanbex.{module}"), attr,
+                   f"{module}.{attr}")
+    got = {}
+    for argv in (["enumerate", str(f)], ["reduce", "--term", "e*s1*s2*s1*s2", str(f)]):
+        calls.clear()
+        assert cli.main(argv) == 0
+        got[argv[0]] = set(calls)
+    capsys.readouterr()
+    assert got == LAYERS_REACHED
 
 
 # calls to each stamped reduction per step, on a problem with term and

@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 import threading
@@ -30,10 +31,10 @@ from kanbex import (
     reduce_term,
     resolves,
 )
-from kanbex.encodings import CosetSystemDesc, from_coset_system
+from kanbex.encodings import CosetSystemDesc, encode_from_json, from_coset_system
 from kanbex.rewrite import _oriented, _RuleIndex
 
-from .conftest import VON_DYCK, build_demo_presentation, coxeter
+from .conftest import DATA, VON_DYCK, build_demo_presentation, coxeter
 from .oracles import (
     alignment_critical_pairs,
     brute_normal_form,
@@ -492,11 +493,31 @@ def test_presentations_sharing_a_label_reduce_independently():
     assert enumerate_extension(loop, systems[1]).total == 3
 
 
+def test_arrows_in_no_rule_leave_a_shared_index_as_built():
+    # an arrow that no rule mentions can be part of no match, so a system's
+    # index does not code it: reducing a term through it, or enumerating
+    # the forms that end with it, keeps the index's tables as built
+    pres = from_monoid_presentation(MonoidPresentationDesc(("a", "z"), ((("a", "a"), ()),)))
+    system = initial_rules(pres)
+    category = encode_from_json("category",
+                                json.loads((DATA / "infinite_category.json").read_text()))
+    order = OrderSpec.from_presentation(category)
+    complete_system = complete(initial_rules(category, order), order).system
+    idx, category_idx = system._index, complete_system._index
+    tables = [(dict(i.codes), tuple(i.arrows)) for i in (idx, category_idx)]
+    assert "z" not in idx.codes and "d" not in category_idx.codes
+    nf = reduce_term(list_as_term(("e", "a", "z", "a", "a"), pres), system)
+    assert nf == list_as_term(("e", "a", "z"), pres)
+    catalogue = enumerate_extension(category, complete_system, order=order)
+    assert category.arrow_by_label["d"] in catalogue.steps
+    assert [(dict(i.codes), tuple(i.arrows)) for i in (idx, category_idx)] == tables
+
+
 def test_threads_sharing_a_system_reduce_correctly():
-    # a system's index is shared: the first reduction builds it, reducing
-    # a term interns the labels no rule mentions, and reductions memoise
-    # the automaton's transitions; threads doing so at once must not mix
-    # codes, read a half-built automaton or lose a transition
+    # a system's index is shared: the first reduction builds it, and
+    # reductions memoise the automaton's transitions, those on the labels
+    # no rule mentions (which have no code) too; threads doing so at once
+    # must not read a half-built automaton or lose a transition
     gens = ("a",) + tuple(f"g{k}" for k in range(1024))
     pres = from_monoid_presentation(MonoidPresentationDesc(gens, ((("a", "a"), ()),)))
     rules = initial_rules(pres)
