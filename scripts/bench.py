@@ -40,7 +40,9 @@ that is more often a layer the trace no longer reaches than work saved.
 ``src_lines`` holds each side's line count of ``src/**/*.py``, and
 ``src_code_lines`` the lines of those files that hold code: not blank,
 not only a comment, and no line of a docstring.  Both are taken on the
-copies the runs use.
+copies the runs use.  ``src_files`` holds both counts per file and side
+(null on a side without the file), and the files whose counts differ
+are named on stderr with the change.
 """
 
 from __future__ import annotations
@@ -97,31 +99,51 @@ def copy_worktree(into: Path) -> None:
             shutil.copy(source, target)
 
 
+def file_lines(path: Path) -> int:
+    """Lines of the file, as ``wc -l`` counts them."""
+    return path.read_bytes().count(b"\n")
+
+
+def file_code_lines(path: Path) -> int:
+    """Lines of the Python file that hold a token other than a comment or
+    a docstring."""
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+            tokenize.DEDENT, tokenize.ENDMARKER}
+    text = path.read_text(encoding="utf-8")
+    # a docstring is the first statement of a module, class or function
+    docs = {(node.body[0].lineno, node.body[0].col_offset)
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))
+            and ast.get_docstring(node, clean=False) is not None}
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in skip and not (tok.type == tokenize.STRING and tok.start in docs):
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
+
+
 def src_lines(tree: Path) -> int:
     """Lines of the Python files under ``tree/src``, as ``wc -l`` counts them."""
-    return sum(p.read_bytes().count(b"\n") for p in tree.glob("src/**/*.py"))
+    return sum(file_lines(p) for p in tree.glob("src/**/*.py"))
 
 
 def src_code_lines(tree: Path) -> int:
     """Lines of the Python files under ``tree/src`` that hold a token
     other than a comment or a docstring."""
-    skip = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
-            tokenize.DEDENT, tokenize.ENDMARKER}
-    total = 0
-    for path in tree.glob("src/**/*.py"):
-        text = path.read_text(encoding="utf-8")
-        # a docstring is the first statement of a module, class or function
-        docs = {(node.body[0].lineno, node.body[0].col_offset)
-                for node in ast.walk(ast.parse(text))
-                if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
-                                     ast.AsyncFunctionDef))
-                and ast.get_docstring(node, clean=False) is not None}
-        lines = set()
-        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
-            if tok.type not in skip and not (tok.type == tokenize.STRING and tok.start in docs):
-                lines.update(range(tok.start[0], tok.end[0] + 1))
-        total += len(lines)
-    return total
+    return sum(file_code_lines(p) for p in tree.glob("src/**/*.py"))
+
+
+def src_files(base: Path, change: Path) -> dict:
+    """Per Python file under ``src``, by its path in the tree: its
+    ``lines`` and ``code_lines`` on each side, null where it is missing."""
+    trees = {"base": base, "change": change}
+    names = sorted({p.relative_to(tree).as_posix()
+                    for tree in trees.values() for p in tree.glob("src/**/*.py")})
+    return {name: {count: {side: fn(tree / name) if (tree / name).is_file() else None
+                           for side, tree in trees.items()}
+                   for count, fn in (("lines", file_lines), ("code_lines", file_code_lines))}
+            for name in names}
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -208,6 +230,13 @@ def main(argv=None) -> int:
         out["src_lines"] = {"base": src_lines(base_tree), "change": src_lines(change_tree)}
         out["src_code_lines"] = {"base": src_code_lines(base_tree),
                                  "change": src_code_lines(change_tree)}
+        out["src_files"] = src_files(base_tree, change_tree)
+        for name, counts in out["src_files"].items():
+            if any(c["base"] != c["change"] for c in counts.values()):
+                print(f"{name}: " + ", ".join(
+                    f"{count} {c['base']} -> {c['change']} "
+                    f"({(c['change'] or 0) - (c['base'] or 0):+d})"
+                    for count, c in counts.items()), file=sys.stderr, flush=True)
         for workload in names:
             runs = {"base": [], "change": []}
             for k, seed in enumerate(args.seeds):

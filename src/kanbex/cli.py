@@ -134,13 +134,9 @@ def _rules_json(system: RewriteSystem) -> dict:
     return {"termRules": term_rules, "pathRules": path_rules}
 
 
-def _print_system(system: RewriteSystem, pres: KanPresentation, fmt: str,
-                  extra: dict | None = None) -> None:
+def _print_system(system: RewriteSystem, pres: KanPresentation, fmt: str, **extra) -> None:
     if fmt == "json":
-        payload = _rules_json(system)
-        if extra:
-            payload.update(extra)
-        print(json.dumps(payload, indent=2))
+        print(json.dumps({**_rules_json(system), **extra}, indent=2))
     else:
         for line in format_system(system, OrderSpec.from_presentation(pres)):
             print(line)
@@ -171,8 +167,8 @@ def _cmd_complete(args, pres: KanPresentation, order: OrderSpec) -> int:
     result = _run_completion(args, pres, order)
     if not result.complete:
         return _report_limit(result)
-    extra = {"status": "complete", "passes": result.passes, "rulesAdded": result.rules_added}
-    _print_system(result.system, pres, args.format, extra)
+    _print_system(result.system, pres, args.format, status="complete", passes=result.passes,
+                  rulesAdded=result.rules_added)
     return EXIT_OK
 
 

@@ -351,11 +351,6 @@ def format_term(t: Term) -> str:
 
 # --- JSON input/output ---
 
-PRESENTATION_FIELDS = (
-    "ObA", "ArrA", "ObB", "ArrB", "RelB", "FObA", "FArrA", "XObA", "XArrA",
-)
-
-
 # Readers of JSON values: each returns the value it checks, or raises a
 # PresentationError that names the field.
 

@@ -69,8 +69,9 @@ class _RuleIndex:
     codes; a term's word starts with its tag, a str, so a tag only
     starts a word.  A rule is coded as its two sides, ``(lhs source, lhs
     word, rhs source, rhs word)``.  One trie holds both kinds of rule,
-    keyed by the lhs word.  ``rules`` holds the coded rules the index was
-    built from, in the order given; ``add`` does not extend it.
+    keyed by the lhs word.  ``rules`` is the live list of the index's
+    coded rules: those it was built from, in the order given, then those
+    of each ``add``, in the order added.
 
     A node is ``[rhs, children, delta, depth, fail, out]``.  ``rhs`` is
     None unless a left-hand side ends at the node; it is the rule's
@@ -105,7 +106,7 @@ class _RuleIndex:
                             sorted(unique.values(), key=lambda a: order.delta_rank[a.label]))
         self.codes = {a.label: k for k, a in enumerate(self.arrows)}
         self.root = [None, {}, {}, 0, None, None]
-        self.rules = tuple([self.code(r) for r in rules])
+        self.rules = [self.code(r) for r in rules]
         for r in self.rules:
             self._insert(r)
         self._link()
@@ -150,6 +151,7 @@ class _RuleIndex:
         return node
 
     def add(self, rule: tuple) -> None:
+        self.rules.append(rule)
         if self._insert(rule):
             self._link()
 
@@ -322,21 +324,16 @@ class CriticalPair:
     case: str
     rules: tuple[int, int]
 
-    @property
-    def is_term_pair(self) -> bool:
-        return isinstance(self.left, Term)
 
-
-def reduce_term(t: Term, system: RewriteSystem) -> Term:
-    """Rewrite until no rule applies.  Requires an oriented system."""
+def reduce_term(x: Term | Path, system: RewriteSystem) -> Term | Path:
+    """Rewrite a term or a bare path until no rule applies.  A term meets
+    both kinds of rule; a path meets only the path rules, as no term lhs
+    lies in a word without a tag.  Requires an oriented system."""
     idx = system._index
-    return idx.decode(*_reduce_term(idx.encode(t), idx))
+    return idx.decode(*_reduce_term(idx.encode(x), idx))
 
 
-def reduce_path(p: Path, system: RewriteSystem) -> Path:
-    """Rewrite a bare path with the path rules only."""
-    idx = system._index
-    return idx.decode(*_reduce_path(idx.encode(p), idx))
+reduce_path = reduce_term
 
 
 def initial_rules(pres: KanPresentation, order: OrderSpec | None = None) -> RewriteSystem:
@@ -444,7 +441,7 @@ def find_critical_pairs(system: RewriteSystem) -> list[CriticalPair]:
 def resolves(cp: CriticalPair, system: RewriteSystem) -> bool:
     """A pair resolves when both sides reduce to the same object."""
     idx = system._index
-    reduce = _reduce_term if cp.is_term_pair else _reduce_path
+    reduce = _reduce_term if isinstance(cp.left, Term) else _reduce_path
     return reduce(idx.encode(cp.left), idx) == reduce(idx.encode(cp.right), idx)
 
 
@@ -506,15 +503,16 @@ def complete(
     # each kind keeps its order, so first-added still wins per lhs
     idx = _RuleIndex(system.rules, order)
     x_rank = order.x_rank
-    terms = list(idx.rules[:len(system.term_rules)])
-    paths = list(idx.rules[len(terms):])
     # a rule's rank, (kind, position within its kind), stays put when term
-    # rules are appended; ``new`` holds the rules added since the last pass
-    # began, ``old`` the others, and ``pairs`` the sorted pairs of ``old``
-    old: list[tuple] = []
-    new = [((0, k), r) for k, r in enumerate(terms)] + [((1, k), r) for k, r in enumerate(paths)]
+    # rules are added; ``counts`` holds each kind's count.  ``ranked`` holds
+    # the rules with their ranks in ``idx.rules``' order, those from
+    # ``start`` on added since the last pass began, and ``pairs`` the
+    # sorted pairs of the rules before ``start``
+    counts = [len(system.term_rules), len(system.path_rules)]
+    ranked = [((0, k), r) if k < counts[0] else ((1, k - counts[0]), r)
+              for k, r in enumerate(idx.rules)]
+    start = 0
     pairs: list[tuple] = []
-    added = 0
     passes = 0
     # a reduction depends only on the side and the rules that can reach
     # it.  Every rule is oriented by ``word_key``, which puts the longer
@@ -541,7 +539,7 @@ def complete(
 
     def stop(reason: str) -> CompletionResult:
         return CompletionResult(CompletionStatus.LIMIT_EXCEEDED, reason,
-                                _system(idx, terms + paths), passes, added)
+                                _system(idx, idx.rules), passes, len(idx.rules) - len(system))
 
     while True:
         if passes >= max_passes:
@@ -550,10 +548,10 @@ def complete(
         # each pair is built once: those of the new rules are keyed and
         # merged into the carried ones, and all are read by larger side
         pairs += [(max(word_key(left[1], x_rank), word_key(right[1], x_rank)), ij, case, pos,
-                   left, right) for case, ij, pos, left, right in _critical_pairs(idx, old, new)]
+                   left, right) for case, ij, pos, left, right
+                  in _critical_pairs(idx, ranked[:start], ranked[start:])]
         pairs.sort()
-        old += new
-        new = []
+        start = len(ranked)
         for _, _, _, _, left, right in pairs:
             term = _is_term(left[1])
             reduce = _reduce_term if term else _reduce_path
@@ -562,23 +560,23 @@ def complete(
                 continue
             if max_rule_length is not None and len(rule[1]) > max_rule_length:
                 return stop(f"rule length limit {max_rule_length} exceeded")
-            kind = terms if term else paths
-            new.append(((0 if term else 1, len(kind)), rule))
-            kind.append(rule)
+            kind = 0 if term else 1
+            ranked.append(((kind, counts[kind]), rule))
+            counts[kind] += 1
             idx.add(rule)
             for length in [n for n in memo if n >= len(rule[1])]:
                 del memo[length]
             forms.clear()
-            added += 1
-            if len(terms) + len(paths) > max_rules:
+            if len(idx.rules) > max_rules:
                 return stop(f"rule limit {max_rules} exceeded")
-        if not new:
+        if start == len(ranked):
             break
 
-    final = _system(idx, terms + paths)
+    final = _system(idx, idx.rules)
     if interreduce_after:
         final = interreduce(final, order)
-    return CompletionResult(CompletionStatus.COMPLETE, None, final, passes, added)
+    return CompletionResult(CompletionStatus.COMPLETE, None, final, passes,
+                            len(idx.rules) - len(system))
 
 
 def interreduce(system: RewriteSystem, order: OrderSpec) -> RewriteSystem:
@@ -589,7 +587,7 @@ def interreduce(system: RewriteSystem, order: OrderSpec) -> RewriteSystem:
     the other rules; rules whose sides collapse together are dropped.
     """
     idx = _RuleIndex(system.rules, order)
-    rules = list(idx.rules)
+    rules = idx.rules  # edited in place: ``add`` appends to it
     # the rules by coded lhs, in list order: an lhs's trie node holds the
     # rhs of the first of them
     owners: dict[tuple, list[tuple]] = {}
@@ -617,9 +615,8 @@ def interreduce(system: RewriteSystem, order: OrderSpec) -> RewriteSystem:
         twins.pop(0)
         new = _oriented(lhs, rhs, order.x_rank)
         if new is not None and new not in owners.get(new[:2], ()):
-            rules.append(new)
-            owners.setdefault(new[:2], []).append(new)
             idx.add(new)
+            owners.setdefault(new[:2], []).append(new)
             pos = 0
     return _system(idx, rules)
 

@@ -141,9 +141,10 @@ def test_both_sides_run_from_copies_and_the_change_side_sees_the_working_tree(
                     "change": {("edited", False, True, False)}}
 
 
-def test_the_record_counts_each_sides_python_source_lines(monkeypatch, tmp_path, repo):
+def test_the_record_counts_each_sides_python_source_lines(monkeypatch, tmp_path, repo, capsys):
     (repo / "src" / "pkg").mkdir(parents=True)
     (repo / "src" / "pkg" / "a.py").write_text("a = 1\nb = 2\nc = 3\n")
+    (repo / "src" / "pkg" / "__init__.py").write_text("")
     (repo / "src" / "notes.txt").write_text("not python\n")
     (repo / "top.py").write_text("outside src\n")
     _commit(repo)
@@ -153,7 +154,22 @@ def test_the_record_counts_each_sides_python_source_lines(monkeypatch, tmp_path,
     monkeypatch.setattr(bench, "run_once", lambda *args, **kwargs: traced(t=1.0))
     out = tmp_path / "bench.json"
     assert bench.main(["--seeds", "1-2", "-o", str(out)]) == 0
-    assert json.loads(out.read_text())["src_lines"] == {"base": 3, "change": 4}
+    result = json.loads(out.read_text())
+    assert result["src_lines"] == {"base": 3, "change": 4}
+    # each file's counts on both sides, null on the side without it
+    assert result["src_files"] == {
+        "src/b.py": {"lines": {"base": None, "change": 3},
+                     "code_lines": {"base": None, "change": 3}},
+        "src/pkg/a.py": {"lines": {"base": 3, "change": 1},
+                         "code_lines": {"base": 3, "change": 1}},
+        "src/pkg/__init__.py": {"lines": {"base": 0, "change": 0},
+                                "code_lines": {"base": 0, "change": 0}},
+    }
+    # stderr names the files whose counts changed, with the change
+    err = capsys.readouterr().err
+    assert "src/b.py: lines None -> 3 (+3), code_lines None -> 3 (+3)" in err
+    assert "src/pkg/a.py: lines 3 -> 1 (-2), code_lines 3 -> 1 (-2)" in err
+    assert "__init__.py" not in err
 
 
 CODE = '''"""A module docstring

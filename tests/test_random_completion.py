@@ -10,7 +10,8 @@ keys the sha256 of every draw's initial rules in system order.  Under the
 rules in system order, on three systems per draw: the initial rules, the
 raw completion, and random oriented rules from ``oracles.random_rule``
 with exact duplicates, so that left-hand sides repeat with equal and
-with different right-hand sides.  The
+with different right-hand sides; the same systems check that a second
+``interreduce`` changes nothing.  The
 bundled problems pin a few large completions; this corpus pins many
 small ones, so a change to the pass loop that reduces a pair side
 against the wrong rule set, or a change to the initial rules or the
@@ -26,7 +27,16 @@ import random
 
 import pytest
 
-from kanbex import EpsRule, KRule, OrderSpec, RewriteSystem, complete, initial_rules, interreduce
+from kanbex import (
+    EpsRule,
+    KRule,
+    OrderSpec,
+    RewriteSystem,
+    check_confluence,
+    complete,
+    initial_rules,
+    interreduce,
+)
 
 from .oracles import random_presentation, random_rule
 from .test_completion_trace import _rule_lines
@@ -123,6 +133,27 @@ def test_initial_rules_match_the_recorded_digests(seed, shuffled):
 @pytest.mark.parametrize("shuffled", [False, True], ids=["declared", "shuffled"])
 def test_interreduced_systems_match_the_recorded_digests(seed, shuffled):
     assert interreduced_digest(seed, shuffled) == PINNED[_key(seed, shuffled) + "-interreduced"]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("shuffled", [False, True], ids=["declared", "shuffled"])
+def test_interreduce_is_idempotent(seed, shuffled):
+    # interreduce edits its index's rule list in place: a second run on
+    # its output must find nothing to do, on the same three systems per
+    # draw that the interreduction pins use, and an interreduced complete
+    # raw system must stay confluent
+    rng = random.Random(f"rules-{seed}")
+    complete_raw = 0
+    for _, pres, order in _draws(seed, shuffled):
+        initial = initial_rules(pres, order)
+        raw = complete(initial, order, interreduce_after=False, **LIMITS)
+        for system in (initial, raw.system, random_system(rng, pres, order)):
+            once = interreduce(system, order)
+            assert interreduce(once, order) == once
+        if raw.complete:
+            complete_raw += 1
+            assert check_confluence(interreduce(raw.system, order))
+    assert complete_raw > 0
 
 
 def test_random_systems_repeat_left_hand_sides():
