@@ -31,7 +31,7 @@ def run(descriptor: str):
     for line in format_system(result.system, order):
         print("  " + line)
     tables = enumerate_extension(pres, result.system, limit=50)
-    reps = ", ".join(tables.names()[1])
+    reps = ", ".join(chunk for obj, chunk in tables.name_chunks() if obj == 1)
     print(f"  cosets ({tables.status.value}): {reps}\n")
 
 

@@ -28,7 +28,8 @@ def solve(title: str, descriptor: str):
     tables = enumerate_extension(pres, result.system)
     print(title)
     print("  reduced rules:", ", ".join(sorted(format_rule(r) for r in result.system.rules)))
-    print("  representatives:", ", ".join(tables.names()[1]))
+    reps = ", ".join(chunk for obj, chunk in tables.name_chunks() if obj == 1)
+    print("  representatives:", reps)
     print()
 
 

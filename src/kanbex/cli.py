@@ -13,9 +13,10 @@ import json
 import os
 import sys
 from functools import cache
+from typing import Iterable, Iterator
 
 from .encodings import ENCODE_FAMILIES, encode_from_json
-from .kan import DEFAULT_LIMIT, EnumerationStatus, enumerate_extension
+from .kan import DEFAULT_LIMIT, EnumerationStatus, KanTables, enumerate_extension
 from .model import (
     CompositionError,
     KanPresentation,
@@ -185,6 +186,34 @@ def _resolve_limit(args) -> int:
     return limit
 
 
+def _write_line(obj: int, chunks: Iterable[str]) -> None:
+    write = sys.stdout.write
+    write(f"KB{obj}: ")
+    sep = ""
+    for chunk in chunks:
+        write(sep)
+        write(chunk)
+        sep = ", "
+    write("\n")
+
+
+def _write_catalogue(tables: KanTables) -> None:
+    """Write one ``KB<obj>: `` line of names per object, chunk by chunk:
+    the first object's as its stages come, the others' from the chunks
+    held until that line ends."""
+    held: dict[int, list[str]] = {obj: [] for obj in tables.objects[1:]}
+
+    def streamed() -> Iterator[str]:
+        for obj, chunk in tables.name_chunks():
+            if obj in held:
+                held[obj].append(chunk)
+            else:
+                yield chunk
+
+    for obj in tables.objects:
+        _write_line(obj, held[obj] if obj in held else streamed())
+
+
 def _cmd_enumerate(args, pres: KanPresentation, order: OrderSpec) -> int:
     limit = _resolve_limit(args)
     result = _run_completion(args, pres, order)
@@ -209,9 +238,7 @@ def _cmd_enumerate(args, pres: KanPresentation, order: OrderSpec) -> int:
             print("enumeration limit exceeded: complete rewrite system is:")
             _print_system(result.system, pres, "text")
         else:
-            names = tables.names()
-            for obj in pres.ob_b:
-                print(f"KB{obj}: {', '.join(names[obj])}")
+            _write_catalogue(tables)
         print(f"total={tables.total} status={tables.status.value}")
     return EXIT_LIMIT if exceeded else EXIT_OK
 

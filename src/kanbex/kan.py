@@ -10,16 +10,19 @@ reducible prefix; a global element limit guards the infinite case.
 Under length-lex the normal forms are prefix-closed, so the catalogue is
 kept as a forest: each form is its parent, a form one arrow shorter,
 plus one arrow.  Enumeration records only that, with no object per
-form; the terms and their text names are built from it on demand, each
-from its parent's.
+form.  The terms are built from it on demand, each from its parent's;
+the text names are built a stage at a time, from the names of the stage
+before, so that a catalogue can be written as its stages come without
+holding every name.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .model import Arrow, CompositionError, KanPresentation, Path, Term
 from .ordering import OrderSpec
@@ -42,9 +45,9 @@ class KanTables:
     children.  Form ``i`` sits over ``targets[i]``; it is the identity
     term on the tag ``steps[i]`` when ``parents[i]`` is -1, and otherwise
     form ``parents[i]`` followed by the arrow ``steps[i]``.  ``elements``
-    (built on first use, then kept) and ``names()`` key the forms by
-    their target, every object of ``objects`` present, each in
-    enumeration order.
+    (built on first use, then kept) keys the forms by their target, every
+    object of ``objects`` present, each in enumeration order;
+    ``name_chunks()`` gives their text names stage by stage.
     """
 
     status: EnumerationStatus
@@ -71,20 +74,38 @@ class KanTables:
             else:
                 tag, path = terms[parent].tag, terms[parent].path
                 terms.append(Term(tag, Path(path.source, path.arrows + (step,))))
-        return self._by_target(terms)
-
-    def names(self) -> Mapping[int, tuple[str, ...]]:
-        """Each normal form's ``format_term`` text, keyed by target."""
-        names: list[str] = []
-        for parent, step in zip(self.parents, self.steps):
-            names.append(step if parent < 0 else names[parent] + "*" + step.label)
-        return self._by_target(names)
-
-    def _by_target(self, forms: list) -> dict[int, tuple]:
         by_target: dict[int, list] = {obj: [] for obj in self.objects}
-        for form, target in zip(forms, self.targets):
-            by_target[target].append(form)
-        return {obj: tuple(fs) for obj, fs in by_target.items()}
+        for term, target in zip(terms, self.targets):
+            by_target[target].append(term)
+        return {obj: tuple(ts) for obj, ts in by_target.items()}
+
+    def name_chunks(self) -> Iterator[tuple[int, str]]:
+        """The forms' ``format_term`` text, stage by stage: for each stage,
+        each target with forms in it, in ``objects`` order, and the names
+        of those forms, in enumeration order, joined by ``", "``.
+
+        Stage one is the identity forms, named by their tags.  After them
+        ``parents`` never decreases, so each later stage is the slice of
+        forms whose parents lie in the stage before, and its names are
+        built from that stage's names alone: at most two stages' names
+        are held at a time."""
+        parents, steps, targets = self.parents, self.steps, self.targets
+        lo, hi = 0, bisect_left(parents, 0)
+        names = steps[:hi]
+        while lo < hi:
+            stage = targets[lo:hi]
+            if stage.count(stage[0]) == len(stage):
+                groups = {stage[0]: names}
+            else:
+                groups = {}
+                for name, target in zip(names, stage):
+                    groups.setdefault(target, []).append(name)
+            for obj in self.objects:
+                if obj in groups:
+                    yield obj, ", ".join(groups[obj])
+            end = bisect_left(parents, hi, hi)
+            names = [f"{names[p - lo]}*{a.label}" for p, a in zip(parents[hi:end], steps[hi:end])]
+            lo, hi = hi, end
 
 
 # the one-arrow step of an irreducible form, under the name by which the

@@ -202,7 +202,10 @@ def _step(state: list, code) -> list | None:
     reduces, None says that the word with ``code`` appended is reducible:
     a match in it ends at the new letter, and a system's index holds a
     right-hand side at every terminal."""
-    state = state[2].get(code) or _goto(state, code)
+    try:
+        state = state[2][code]
+    except KeyError:
+        state = _goto(state, code)
     return None if state[5] is not None else state
 
 
@@ -402,7 +405,10 @@ def _critical_pairs(idx: _RuleIndex, old: list[tuple], new: list[tuple]) -> list
             found = [(pos, g) for g in anywhere for pos in range(1 if host_term else 0, ni + 1)]
             s = root
             for k, c in enumerate(li, 1):
-                s = s[2].get(c) or _goto(s, c)
+                try:
+                    s = s[2][c]
+                except KeyError:
+                    s = _goto(s, c)
                 m = s[5]
                 while m is not None:
                     found += [(k - m[3], g) for g in ends.get(id(m), ())]

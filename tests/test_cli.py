@@ -1,14 +1,26 @@
+import contextlib
 import hashlib
 import inspect
+import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
+import tracemalloc
 
 import pytest
 
-from kanbex import complete, from_monoid_presentation, parse_presentation, presentation_to_json
+from kanbex import (
+    MonoidPresentationDesc,
+    complete,
+    from_monoid_presentation,
+    parse_presentation,
+    presentation_to_json,
+)
 from kanbex.cli import _build_parser, main
 
-from .conftest import VON_DYCK
+from .conftest import REPO, VON_DYCK, coxeter
 
 
 def run_cli(capsys, *argv):
@@ -56,6 +68,55 @@ def test_enumerate_finite(capsys, data_dir, tmp_path):
     assert code == 0
     assert "KB1: x1, x3, y4" in out
     assert "total=3 status=Finite" in out
+
+
+def _coxeter_file(tmp_path, n):
+    """Coxeter S_n as a presentation file, its point and generators
+    labelled with four characters each, as in the benchmark's inputs."""
+    desc = coxeter(n)
+    four = {g: f"s{g[1:]:0>3}" for g in desc.generators}
+    desc = MonoidPresentationDesc(tuple(four.values()), tuple(
+        (tuple(four[g] for g in l), tuple(four[g] for g in r)) for l, r in desc.relations))
+    f = tmp_path / f"coxeter{n}.json"
+    f.write_text(json.dumps(presentation_to_json(from_monoid_presentation(desc, point="p000"))))
+    return f
+
+
+def test_a_streamed_catalogue_holds_a_fraction_of_its_text(tmp_path):
+    # the captured output and the string read from it are two copies of
+    # the text; beside them the writer holds at most two stages' names
+    # and the other objects' chunks, never every name or a whole line.
+    # The parser is built once per import, so it is built before tracing
+    f = _coxeter_file(tmp_path, 7)
+    _build_parser()
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(["enumerate", "--limit", "50000", str(f)])
+        text = out.getvalue()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and len(text) == 294_869
+    assert peak < 3.5 * len(text)
+
+
+def test_a_closed_pipe_ends_a_streamed_catalogue_with_exit_3(tmp_path):
+    f = _coxeter_file(tmp_path, 8)
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.Popen([sys.executable, "-m", "kanbex", "enumerate", "--limit", "50000",
+                             str(f)], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.read(5) == b"KB1: "
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 3
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert err.decode() == "kanbex: [Errno 32] Broken pipe\n"
 
 
 def test_enumerate_respects_env_limit(capsys, data_dir, monkeypatch):

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -6,7 +7,6 @@ from kanbex import (
     DEFAULT_LIMIT,
     CompositionError,
     EnumerationStatus,
-    OrderSpec,
     Path,
     RewriteSystem,
     Term,
@@ -18,15 +18,17 @@ from kanbex import (
     from_monoid_presentation,
     initial_rules,
     naturality_check,
+    presentation_to_json,
     reduce_term,
     tau_bar,
 )
+from kanbex.cli import main
 
 from .conftest import build_demo_presentation, coxeter
 from .oracles import all_terms, closure_partition
 from .test_bench_hooks import _bundled
 from .test_cli import BUNDLED
-from .test_random_completion import LIMITS, _draws
+from .test_random_completion import LIMITS, _draws, _order
 
 PRES = build_demo_presentation()
 B = PRES.arrow_by_label
@@ -62,15 +64,17 @@ def test_rejects_non_confluent_system(demo_pres, demo_initial):
 
 def check_partition(pres, system, limit, order=None):
     """The catalogue's terms are reduced and sit over their keys, which
-    are the presentation's objects; they are built once, and each one's
-    name from the forest is its ``format_term`` text."""
+    are the presentation's objects; they are built once, and the name
+    chunks of each object, joined, are its terms' ``format_term`` text."""
     tables = enumerate_extension(pres, system, limit=limit, order=order)
     assert tables.elements is tables.elements
     assert sum(len(v) for v in tables.elements.values()) == tables.total
-    names = tables.names()
-    assert list(tables.elements) == list(names) == list(pres.ob_b)
+    assert list(tables.elements) == list(pres.ob_b)
+    chunks = {obj: [] for obj in pres.ob_b}
+    for obj, chunk in tables.name_chunks():
+        chunks[obj].append(chunk)
     for obj, nfs in tables.elements.items():
-        assert names[obj] == tuple(format_term(nf) for nf in nfs)
+        assert ", ".join(chunks[obj]) == ", ".join(format_term(nf) for nf in nfs)
         for nf in nfs:
             assert tau_bar(nf) == obj
             assert reduce_term(nf, system) == nf
@@ -80,14 +84,14 @@ def test_enumeration_partitions_by_target(demo_pres, demo_complete):
     check_partition(demo_pres, demo_complete, 60)
 
 
-def _catalogued(family, name):
+def _catalogued(family, name, shuffled=False):
     """Each presentation of a problem, with the order it is completed
-    under: a bundled problem, Coxeter S4, or the draws of one seed of the
-    random corpus."""
+    under, declared or shuffled: a bundled problem, Coxeter S4, or the
+    draws of one seed of the random corpus."""
     if family == "random":
-        return [(pres, order) for _, pres, order in _draws(int(name[-1]), False)]
+        return [(pres, order) for _, pres, order in _draws(int(name[-1]), shuffled)]
     pres = from_monoid_presentation(coxeter(4)) if name == "coxeter4" else _bundled(family, name)
-    return [(pres, OrderSpec.from_presentation(pres))]
+    return [(pres, _order(pres, random.Random(name) if shuffled else None))]
 
 
 @pytest.mark.parametrize("family,name", BUNDLED + [("monoid", "coxeter4")]
@@ -100,6 +104,36 @@ def test_every_catalogue_partitions_by_target(family, name):
         if result.complete:
             for limit in (DEFAULT_LIMIT, 1, 7):
                 check_partition(pres, result.system, limit, order)
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["declared", "shuffled"])
+# the two infinite bundled problems print no catalogue
+@pytest.mark.parametrize("family,name", [(f, n) for f, n in BUNDLED if not n.startswith("infinite")]
+                         + [("random", f"seed{seed}") for seed in (1, 2, 3)])
+def test_every_catalogue_line_joins_its_terms_names(capsys, tmp_path, monkeypatch, family, name,
+                                                    shuffled):
+    """Each ``KB<obj>:`` line of a finite CLI catalogue is its object's
+    terms' ``format_term`` text, read through ``elements``, which shares
+    no code with the streamed writer; an object with no forms prints
+    ``KB<obj>: ``."""
+    monkeypatch.delenv("KANBEX_LIMIT", raising=False)
+    f = tmp_path / "p.json"
+    written = empty = 0
+    for pres, order in _catalogued(family, name, shuffled):
+        result = complete(initial_rules(pres, order), order, **LIMITS)
+        tables = enumerate_extension(pres, result.system, order=order) if result.complete else None
+        if tables is None or not tables.finite:
+            continue
+        f.write_text(json.dumps(presentation_to_json(pres)))
+        xs, deltas = (",".join(sorted(rank, key=rank.get)) for rank in (order.x_rank, order.delta_rank))
+        assert main(["enumerate", "--xorder", xs, "--deltaorder", deltas, str(f)]) == 0
+        lines = [f"KB{obj}: " + ", ".join(format_term(t) for t in tables.elements[obj])
+                 for obj in pres.ob_b]
+        assert capsys.readouterr().out.splitlines() == lines + [f"total={tables.total} status=Finite"]
+        written += 1
+        empty += sum(not tables.elements[obj] for obj in pres.ob_b)
+    assert written
+    assert empty or family != "random"
 
 
 def test_enumeration_matches_bounded_closure(demo_pres, demo_complete):
