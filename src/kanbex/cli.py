@@ -299,7 +299,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _run(args)
+        code = _run(args)
+        sys.stdout.flush()
+        return code
     except _UsageError as e:
         print(f"kanbex: error: {e}", file=sys.stderr)
         return EXIT_INVALID
@@ -308,6 +310,10 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     except OSError as e:
         print(f"kanbex: {e}", file=sys.stderr)
+        if isinstance(e, BrokenPipeError):
+            # the reader is gone: send what stdout still holds to devnull,
+            # so that the flush at exit cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_IO
 
 

@@ -93,13 +93,9 @@ class KanTables:
         lo, hi = 0, bisect_left(parents, 0)
         names = steps[:hi]
         while lo < hi:
-            stage = targets[lo:hi]
-            if stage.count(stage[0]) == len(stage):
-                groups = {stage[0]: names}
-            else:
-                groups = {}
-                for name, target in zip(names, stage):
-                    groups.setdefault(target, []).append(name)
+            groups: dict[int, list[str]] = {}
+            for name, target in zip(names, targets[lo:hi]):
+                groups.setdefault(target, []).append(name)
             for obj in self.objects:
                 if obj in groups:
                     yield obj, ", ".join(groups[obj])

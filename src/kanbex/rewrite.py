@@ -405,10 +405,7 @@ def _critical_pairs(idx: _RuleIndex, old: list[tuple], new: list[tuple]) -> list
             found = [(pos, g) for g in anywhere for pos in range(1 if host_term else 0, ni + 1)]
             s = root
             for k, c in enumerate(li, 1):
-                try:
-                    s = s[2][c]
-                except KeyError:
-                    s = _goto(s, c)
+                s = s[2].get(c) or _goto(s, c)
                 m = s[5]
                 while m is not None:
                     found += [(k - m[3], g) for g in ends.get(id(m), ())]
