@@ -13,7 +13,6 @@ import json
 import os
 import sys
 from functools import cache
-from typing import Iterable, Iterator
 
 from .encodings import ENCODE_FAMILIES, encode_from_json
 from .kan import DEFAULT_LIMIT, EnumerationStatus, KanTables, enumerate_extension
@@ -58,6 +57,11 @@ class _Parser(argparse.ArgumentParser):
     # reserves for limit exhaustion
     def error(self, message):
         raise _UsageError(message)
+
+    # --help leaves by SystemExit: flush first, so a closed pipe fails in main
+    def exit(self, status=0, message=None):
+        sys.stdout.flush()
+        super().exit(status, message)
 
 
 def _comma_list(value: str) -> list[str]:
@@ -144,13 +148,8 @@ def _print_system(system: RewriteSystem, pres: KanPresentation, fmt: str, **extr
 
 
 def _run_completion(args, pres: KanPresentation, order: OrderSpec) -> CompletionResult:
-    system = initial_rules(pres, order)
-    return complete(
-        system, order,
-        max_rules=args.max_rules,
-        max_passes=args.max_passes,
-        interreduce_after=not args.no_interreduce,
-    )
+    return complete(initial_rules(pres, order), order, max_rules=args.max_rules,
+                    max_passes=args.max_passes, interreduce_after=not args.no_interreduce)
 
 
 def _report_limit(result: CompletionResult) -> int:
@@ -186,32 +185,33 @@ def _resolve_limit(args) -> int:
     return limit
 
 
-def _write_line(obj: int, chunks: Iterable[str]) -> None:
-    write = sys.stdout.write
-    write(f"KB{obj}: ")
-    sep = ""
-    for chunk in chunks:
-        write(sep)
-        write(chunk)
-        sep = ", "
-    write("\n")
+# Per format: the joins of ``KanTables.name_chunks``; what goes before an
+# object's names and after them, or for an object with none; and between
+# two objects.  JSON is the ``"elements"`` of ``json.dumps(..., indent=2)``.
+_CATALOGUES = {
+    "text": ((str, "*", ", "), "KB{}: ", "\n", "KB{}: \n", ""),
+    "json": ((json.dumps, ",\n        ", "\n      ],\n      [\n        "),
+             '\n    "{}": [\n      [\n        ', "\n      ]\n    ]", '\n    "{}": []', ","),
+}
 
 
-def _write_catalogue(tables: KanTables) -> None:
-    """Write one ``KB<obj>: `` line of names per object, chunk by chunk:
-    the first object's as its stages come, the others' from the chunks
-    held until that line ends."""
+def _write_catalogue(tables: KanTables, fmt: str) -> None:
+    """Write every object's names in ``fmt``, chunk by chunk: the first
+    object's as its stages come, the others' held until it ends."""
+    (quote, link, sep), head, tail, empty, gap = _CATALOGUES[fmt]
     held: dict[int, list[str]] = {obj: [] for obj in tables.objects[1:]}
-
-    def streamed() -> Iterator[str]:
-        for obj, chunk in tables.name_chunks():
-            if obj in held:
-                held[obj].append(chunk)
-            else:
-                yield chunk
-
-    for obj in tables.objects:
-        _write_line(obj, held[obj] if obj in held else streamed())
+    # ``append`` gives None, so a chunk that is held is not streamed
+    streamed = (chunk for obj, chunk in tables.name_chunks(quote, link, sep)
+                if obj not in held or held[obj].append(chunk))
+    write = sys.stdout.write
+    for i, obj in enumerate(tables.objects):
+        write(gap if i else "")
+        lead = head.format(obj)
+        for chunk in held[obj] if i else streamed:
+            write(lead)
+            write(chunk)
+            lead = sep
+        write(tail if lead is sep else empty.format(obj))
 
 
 def _cmd_enumerate(args, pres: KanPresentation, order: OrderSpec) -> int:
@@ -223,22 +223,18 @@ def _cmd_enumerate(args, pres: KanPresentation, order: OrderSpec) -> int:
     tables = enumerate_extension(pres, result.system, limit=limit, order=order)
     exceeded = tables.status is EnumerationStatus.LIMIT_EXCEEDED
     if args.format == "json":
-        payload = {
-            "status": tables.status.value,
-            "total": tables.total,
-            "elements": {
-                str(obj): [term_as_list(t) for t in ts]
-                for obj, ts in tables.elements.items()
-            },
-        }
-        payload.update(_rules_json(result.system))
-        print(json.dumps(payload, indent=2))
+        print(f'{{\n  "status": "{tables.status.value}",\n  "total": {tables.total},\n'
+              '  "elements": {', end="")
+        _write_catalogue(tables, "json")
+        # json.dumps closes a dict on a line of its own, or at once if empty
+        print("\n  }," if tables.objects else "},", end="")
+        print(json.dumps(_rules_json(result.system), indent=2)[1:])
     else:
         if exceeded:
             print("enumeration limit exceeded: complete rewrite system is:")
             _print_system(result.system, pres, "text")
         else:
-            _write_catalogue(tables)
+            _write_catalogue(tables, "text")
         print(f"total={tables.total} status={tables.status.value}")
     return EXIT_LIMIT if exceeded else EXIT_OK
 

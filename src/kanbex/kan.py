@@ -11,9 +11,9 @@ Under length-lex the normal forms are prefix-closed, so the catalogue is
 kept as a forest: each form is its parent, a form one arrow shorter,
 plus one arrow.  Enumeration records only that, with no object per
 form.  The terms are built from it on demand, each from its parent's;
-the text names are built a stage at a time, from the names of the stage
-before, so that a catalogue can be written as its stages come without
-holding every name.
+the names, as text or as JSON, are built a stage at a time, from the
+names of the stage before, so that a catalogue can be written as its
+stages come without holding every name.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class KanTables:
     form ``parents[i]`` followed by the arrow ``steps[i]``.  ``elements``
     (built on first use, then kept) keys the forms by their target, every
     object of ``objects`` present, each in enumeration order;
-    ``name_chunks()`` gives their text names stage by stage.
+    ``name_chunks()`` gives their names stage by stage.
     """
 
     status: EnumerationStatus
@@ -79,28 +79,31 @@ class KanTables:
             by_target[target].append(term)
         return {obj: tuple(ts) for obj, ts in by_target.items()}
 
-    def name_chunks(self) -> Iterator[tuple[int, str]]:
-        """The forms' ``format_term`` text, stage by stage: for each stage,
-        each target with forms in it, in ``objects`` order, and the names
-        of those forms, in enumeration order, joined by ``", "``.
+    def name_chunks(self, quote=str, link="*", sep=", ") -> Iterator[tuple[int, str]]:
+        """The forms' names, stage by stage: for each stage, each target
+        with forms in it, in ``objects`` order, and the names of those
+        forms, in enumeration order, joined by ``sep``.  An identity
+        form's name is its tag, quoted by ``quote``; any other form's is
+        its parent's, then ``link`` and its arrow's quoted label.  The
+        default joins give the ``format_term`` text.
 
-        Stage one is the identity forms, named by their tags.  After them
-        ``parents`` never decreases, so each later stage is the slice of
-        forms whose parents lie in the stage before, and its names are
-        built from that stage's names alone: at most two stages' names
-        are held at a time."""
+        Stage one is the identity forms.  After them ``parents`` never
+        decreases, so each later stage is the slice of forms whose parents
+        lie in the stage before, and its names are built from that stage's
+        names alone: at most two stages' names are held at a time."""
         parents, steps, targets = self.parents, self.steps, self.targets
         lo, hi = 0, bisect_left(parents, 0)
-        names = steps[:hi]
+        names = [quote(tag) for tag in steps[:hi]]
+        tail = {label: link + quote(label) for label in {a.label for a in steps[hi:]}}
         while lo < hi:
-            groups: dict[int, list[str]] = {}
+            groups: dict[int, list[str]] = {obj: [] for obj in self.objects}
             for name, target in zip(names, targets[lo:hi]):
-                groups.setdefault(target, []).append(name)
-            for obj in self.objects:
-                if obj in groups:
-                    yield obj, ", ".join(groups[obj])
+                groups[target].append(name)
+            for obj, group in groups.items():
+                if group:
+                    yield obj, sep.join(group)
             end = bisect_left(parents, hi, hi)
-            names = [f"{names[p - lo]}*{a.label}" for p, a in zip(parents[hi:end], steps[hi:end])]
+            names = [names[p - lo] + tail[a.label] for p, a in zip(parents[hi:end], steps[hi:end])]
             lo, hi = hi, end
 
 

@@ -82,7 +82,8 @@ def _coxeter_file(tmp_path, n):
     return f
 
 
-def test_a_streamed_catalogue_holds_a_fraction_of_its_text(tmp_path):
+@pytest.mark.parametrize("fmt,size", [("text", 294_869), ("json", 1_012_497)], ids=["text", "json"])
+def test_a_streamed_catalogue_holds_a_fraction_of_its_text(tmp_path, fmt, size):
     # the captured output and the string read from it are two copies of
     # the text; beside them the writer holds at most two stages' names
     # and the other objects' chunks, never every name or a whole line.
@@ -93,33 +94,37 @@ def test_a_streamed_catalogue_holds_a_fraction_of_its_text(tmp_path):
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(out):
-            code = main(["enumerate", "--limit", "50000", str(f)])
+            code = main(["enumerate", "--limit", "50000", "--format", fmt, str(f)])
         text = out.getvalue()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 0 and len(text) == 294_869
+    assert code == 0 and len(text) == size
     assert peak < 3.5 * len(text)
 
 
-@pytest.mark.parametrize("problem", ["coxeter8", "infinite_extension"])
+@pytest.mark.parametrize("problem", ["coxeter8", "infinite_extension", "--help", "enumerate --help"])
 def test_a_closed_pipe_ends_a_catalogue_with_exit_3(tmp_path, data_dir, problem):
     # the reader is gone before the first write.  Stdout is buffered, as
     # it is by default for a pipe, so bytes are still held when a write
     # fails: in the middle of the Coxeter S8 catalogue, and at the end of
-    # the short one, which fits in the buffer
+    # the short one and of a help text, which fit in the buffer; a help
+    # text ends by SystemExit, not by a return from ``main``
     if problem == "coxeter8":
         f = tmp_path / "coxeter8.json"
         f.write_text(json.dumps(presentation_to_json(from_monoid_presentation(coxeter(8)))))
+        argv = ["enumerate", "--limit", "50000", str(f)]
+    elif problem == "infinite_extension":
+        argv = ["enumerate", "--limit", "50000", str(data_dir / f"{problem}.json")]
     else:
-        f = data_dir / f"{problem}.json"
+        argv = problem.split()
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(REPO / "src")
     r, w = os.pipe()
     os.close(r)
     try:
-        proc = subprocess.run([sys.executable, "-m", "kanbex", "enumerate", "--limit", "50000",
-                               str(f)], stdout=w, stderr=subprocess.PIPE, env=env, timeout=120)
+        proc = subprocess.run([sys.executable, "-m", "kanbex", *argv], stdout=w,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
     finally:
         os.close(w)
     assert proc.stderr.decode() == "kanbex: [Errno 32] Broken pipe\n"

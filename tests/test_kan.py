@@ -5,8 +5,11 @@ import pytest
 
 from kanbex import (
     DEFAULT_LIMIT,
+    Arrow,
     CompositionError,
     EnumerationStatus,
+    KanPresentation,
+    MonoidPresentationDesc,
     Path,
     RewriteSystem,
     Term,
@@ -21,8 +24,9 @@ from kanbex import (
     presentation_to_json,
     reduce_term,
     tau_bar,
+    term_as_list,
 )
-from kanbex.cli import main
+from kanbex.cli import _rules_json, main
 
 from .conftest import build_demo_presentation, coxeter
 from .oracles import all_terms, closure_partition
@@ -84,13 +88,36 @@ def test_enumeration_partitions_by_target(demo_pres, demo_complete):
     check_partition(demo_pres, demo_complete, 60)
 
 
+def _escaped():
+    """Coxeter S4 with labels that JSON escapes: a quote, a backslash and
+    non-ASCII letters."""
+    desc = coxeter(4)
+    label = dict(zip(desc.generators, ('a"', "b\\", "ç")))
+    return from_monoid_presentation(MonoidPresentationDesc(tuple(label.values()), tuple(
+        (tuple(label[g] for g in l), tuple(label[g] for g in r)) for l, r in desc.relations)),
+        point="é")
+
+
+def _first_object_empty():
+    """The element ``x`` over object 2 and the involution ``b`` on it;
+    nothing reaches object 1, which comes first."""
+    b = Arrow("b", 2, 2)
+    return KanPresentation(ob_a=(1,), arr_a=(), ob_b=(1, 2), arr_b=(b,),
+                           rel_b=((Path(2, (b, b)), Path(2, ())),), f_ob_a=(2,), f_arr_a=(),
+                           x_ob_a=(("x",),), x_arr_a=())
+
+
+MADE = {"coxeter4": lambda: from_monoid_presentation(coxeter(4)), "escaped": _escaped,
+        "first_object_empty": _first_object_empty}
+
+
 def _catalogued(family, name, shuffled=False):
     """Each presentation of a problem, with the order it is completed
-    under, declared or shuffled: a bundled problem, Coxeter S4, or the
+    under, declared or shuffled: a bundled problem, one made here, or the
     draws of one seed of the random corpus."""
     if family == "random":
         return [(pres, order) for _, pres, order in _draws(int(name[-1]), shuffled)]
-    pres = from_monoid_presentation(coxeter(4)) if name == "coxeter4" else _bundled(family, name)
+    pres = MADE[name]() if name in MADE else _bundled(family, name)
     return [(pres, _order(pres, random.Random(name) if shuffled else None))]
 
 
@@ -106,34 +133,61 @@ def test_every_catalogue_partitions_by_target(family, name):
                 check_partition(pres, result.system, limit, order)
 
 
+# the problems with a finite catalogue; the two infinite bundled ones
+# print their rules instead of a text catalogue, so they run in JSON only
+FINITE = ([(f, n) for f, n in BUNDLED if not n.startswith("infinite")]
+          + [("random", f"seed{seed}") for seed in (1, 2, 3)]
+          + [("made", "escaped"), ("made", "first_object_empty")])
+INFINITE = [(f, n) for f, n in BUNDLED if n.startswith("infinite")]
+
+
 @pytest.mark.parametrize("shuffled", [False, True], ids=["declared", "shuffled"])
-# the two infinite bundled problems print no catalogue
-@pytest.mark.parametrize("family,name", [(f, n) for f, n in BUNDLED if not n.startswith("infinite")]
-                         + [("random", f"seed{seed}") for seed in (1, 2, 3)])
-def test_every_catalogue_line_joins_its_terms_names(capsys, tmp_path, monkeypatch, family, name,
-                                                    shuffled):
-    """Each ``KB<obj>:`` line of a finite CLI catalogue is its object's
-    terms' ``format_term`` text, read through ``elements``, which shares
-    no code with the streamed writer; an object with no forms prints
-    ``KB<obj>: ``."""
+@pytest.mark.parametrize("fmt,family,name", [
+    pytest.param(fmt, f, n, id=f"{f}-{n}" if fmt == "text" else f"json-{f}-{n}")
+    for fmt, problems in (("text", FINITE), ("json", FINITE + INFINITE)) for f, n in problems])
+def test_every_catalogue_line_joins_its_terms_names(capsys, tmp_path, monkeypatch, fmt, family,
+                                                    name, shuffled):
+    """A CLI catalogue equals one built from ``elements``, which shares no
+    code with the streamed writer.  Each ``KB<obj>:`` line of a finite
+    text catalogue is its object's terms' ``format_term`` text, and an
+    object with no forms prints ``KB<obj>: ``.  The JSON of a finite
+    catalogue, and of an infinite problem's at limits 1 and 7, which
+    lists its elements as far as they go, is what ``json.dumps(...,
+    indent=2)`` makes of the terms' ``term_as_list`` lists."""
     monkeypatch.delenv("KANBEX_LIMIT", raising=False)
     f = tmp_path / "p.json"
-    written = empty = 0
+    limits = (1, 7) if (family, name) in INFINITE else (DEFAULT_LIMIT,)
+    written = empty = exceeded = 0
     for pres, order in _catalogued(family, name, shuffled):
         result = complete(initial_rules(pres, order), order, **LIMITS)
-        tables = enumerate_extension(pres, result.system, order=order) if result.complete else None
-        if tables is None or not tables.finite:
+        if not result.complete:
             continue
         f.write_text(json.dumps(presentation_to_json(pres)))
         xs, deltas = (",".join(sorted(rank, key=rank.get)) for rank in (order.x_rank, order.delta_rank))
-        assert main(["enumerate", "--xorder", xs, "--deltaorder", deltas, str(f)]) == 0
-        lines = [f"KB{obj}: " + ", ".join(format_term(t) for t in tables.elements[obj])
-                 for obj in pres.ob_b]
-        assert capsys.readouterr().out.splitlines() == lines + [f"total={tables.total} status=Finite"]
-        written += 1
-        empty += sum(not tables.elements[obj] for obj in pres.ob_b)
-    assert written
+        for limit in limits:
+            tables = enumerate_extension(pres, result.system, limit=limit, order=order)
+            if not tables.finite and (family, name) not in INFINITE:
+                continue
+            assert main(["enumerate", "--format", fmt, "--limit", str(limit), "--xorder", xs,
+                         "--deltaorder", deltas, str(f)]) == (0 if tables.finite else 2)
+            out = capsys.readouterr().out
+            if fmt == "text":
+                lines = [f"KB{obj}: " + ", ".join(format_term(t) for t in tables.elements[obj])
+                         for obj in pres.ob_b]
+                assert out.splitlines() == lines + [f"total={tables.total} status=Finite"]
+            else:
+                reference = {"status": tables.status.value, "total": tables.total,
+                             "elements": {str(obj): [term_as_list(t) for t in ts]
+                                          for obj, ts in tables.elements.items()},
+                             **_rules_json(result.system)}
+                assert out == json.dumps(reference, indent=2) + "\n"
+            written += 1
+            empty += sum(not tables.elements[obj] for obj in pres.ob_b)
+            exceeded += not tables.finite
+    assert written == len(limits) or family == "random" and written
+    assert (family, name) not in INFINITE or exceeded == len(limits)
     assert empty or family != "random"
+    assert name != "first_object_empty" or not tables.elements[pres.ob_b[0]]
 
 
 def test_enumeration_matches_bounded_closure(demo_pres, demo_complete):
