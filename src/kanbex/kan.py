@@ -121,12 +121,14 @@ def enumerate_extension(
     """Catalogue the extension sets by length stages.
 
     Requires a confluent system (otherwise normal forms are not well
-    defined) and a positive limit.  On overflow the elements found so
-    far are returned flagged LIMIT_EXCEEDED.
+    defined) and a positive limit.  A system that ``complete`` returned
+    as COMPLETE carries its proof, and is not checked again; any other
+    is checked pair by pair by ``check_confluence``.  On overflow the
+    elements found so far are returned flagged LIMIT_EXCEEDED.
     """
     if limit < 1:
         raise ValueError("enumeration limit must be positive")
-    if not check_confluence(system):
+    if not (vars(system).get("confluent") or check_confluence(system)):
         raise ValueError("rewrite system is not confluent; normal forms are not well-defined")
     if order is None:
         order = OrderSpec.from_presentation(pres)

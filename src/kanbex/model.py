@@ -241,6 +241,14 @@ def _check_path(p: Path, pres: KanPresentation, where: str, out: list[str]) -> N
         out.append(f"{where}: recorded source {p.source} disagrees with first arrow")
 
 
+def _check_separators(label: str, where: str, v: list[str]) -> None:
+    """A label holds neither separator of the command line: ``*`` joins a
+    term's labels, and ``,`` the labels of an order or a catalogue line."""
+    for sep in ",*":
+        if sep in label:
+            v.append(f"{where} {label!r} contains {sep!r}, which separates labels")
+
+
 def validate_presentation(p: KanPresentation) -> ValidationReport:
     """Check all structural invariants; violations name field and entry (1-based)."""
     v: list[str] = []
@@ -266,6 +274,7 @@ def validate_presentation(p: KanPresentation) -> ValidationReport:
             continue
         if a.label in seen_labels:
             v.append(f"ArrB[{k}]: duplicate label {a.label!r} (also ArrB[{seen_labels[a.label]}])")
+        _check_separators(a.label, f"ArrB[{k}]: label", v)
         seen_labels[a.label] = k
         if a.src not in ob:
             v.append(f"ArrB[{k}]: unknown source object {a.src}")
@@ -319,6 +328,7 @@ def validate_presentation(p: KanPresentation) -> ValidationReport:
                 all_x[x] = i
             if x in seen_labels:
                 v.append(f"XObA[{i}]: element label {x!r} collides with an arrow label")
+            _check_separators(x, f"XObA[{i}]: element label", v)
 
     if len(p.x_arr_a) != len(p.arr_a):
         v.append(f"XArrA: expected {len(p.arr_a)} entries, got {len(p.x_arr_a)}")

@@ -73,18 +73,20 @@ class _RuleIndex:
     coded rules: those it was built from, in the order given, then those
     of each ``add``, in the order added.
 
-    A node is ``[rhs, children, delta, depth, fail, out]``.  ``rhs`` is
-    None unless a left-hand side ends at the node; it is the rule's
-    coded right-hand side ``(source, word)``.  ``children`` are the trie
-    edges, ``depth`` the length of the node's key, ``fail`` the node of
-    its longest proper suffix in the trie, and ``out`` the node itself if
-    an lhs ends there, else the nearest such node along ``fail``.
-    ``delta`` memoises transitions on first use (see ``_goto``).  The
-    links are built when the index is and again after each ``add`` that
-    makes a terminal.  ``interreduce`` clears the ``rhs`` of the rule it
+    A node is ``[rhs, children, delta, depth, fail, out, failing]``.
+    ``rhs`` is None unless a left-hand side ends at the node; it is the
+    rule's coded right-hand side ``(source, word)``.  ``children`` are
+    the trie edges, ``depth`` the length of the node's key, ``fail`` the
+    node of its longest proper suffix in the trie, ``failing`` the nodes
+    whose ``fail`` is this one, by id, and ``out`` the node itself if an
+    lhs ends there, else the nearest such node along ``fail``.
+    ``delta`` holds the children and memoises other transitions on first
+    use (see ``_goto``).  Each ``add``, those of the rules the index is
+    built from included, updates the links in place (see ``_attach``),
+    so no memo is ever dropped.  ``interreduce`` clears the ``rhs`` of the rule it
     reduces, and keeps it cleared when it deletes the last rule with that
-    left-hand side; a reduction skips a cleared terminal, and the next link
-    drops it from the output chains.  The critical pairs of the rules are
+    left-hand side; a reduction skips a cleared terminal, which may stay
+    on the output chains.  The critical pairs of the rules are
     read off the same automaton (``_critical_pairs``): the output chains give
     the containments, the failure chains the end overlaps.
     Insertion never overwrites an ``rhs``, so the first-added rule wins
@@ -105,11 +107,10 @@ class _RuleIndex:
         self.arrows = tuple(unique.values() if order is None else
                             sorted(unique.values(), key=lambda a: order.delta_rank[a.label]))
         self.codes = {a.label: k for k, a in enumerate(self.arrows)}
-        self.root = [None, {}, {}, 0, None, None]
-        self.rules = [self.code(r) for r in rules]
-        for r in self.rules:
-            self._insert(r)
-        self._link()
+        self.root = [None, {}, {}, 0, None, None, {}]
+        self.rules = []
+        for r in rules:
+            self.add(self.code(r))
 
     def lookup(self, arrows: tuple[Arrow, ...]) -> tuple:
         """The codes of ``arrows``, an arrow outside the tables as itself."""
@@ -140,42 +141,78 @@ class _RuleIndex:
         lhs, rhs = self.decode(*coded[:2]), self.decode(*coded[2:])
         return EpsRule(lhs, rhs) if isinstance(lhs, Term) else KRule(lhs, rhs)
 
-    def node(self, word: tuple) -> list:
-        """The trie node of ``word``, made if missing."""
+    def node(self, word: tuple, made: list | None = None) -> list:
+        """The trie node of ``word``, made if missing; each node made is
+        appended to ``made`` as ``(parent, code, node)``, shallowest first."""
         node = self.root
         for c in word:
             child = node[1].get(c)
             if child is None:
-                child = node[1][c] = [None, {}, {}, node[3] + 1, None, None]
+                child = node[1][c] = node[2][c] = [None, {}, {}, node[3] + 1, None, None, {}]
+                if made is not None:
+                    made.append((node, c, child))
             node = child
         return node
 
     def add(self, rule: tuple) -> None:
+        """Append a coded rule and update the links in place: each node
+        made is attached (``_attach``), and an old node that becomes a
+        terminal is passed down the output chains below it."""
         self.rules.append(rule)
-        if self._insert(rule):
-            self._link()
-
-    def _insert(self, rule: tuple) -> bool:
-        """Insert a coded rule; True if its left-hand side became a terminal."""
-        node = self.node(rule[1])
+        made: list[tuple] = []
+        node = self.node(rule[1], made)
         if node[0] is not None:
-            return False
+            return
         node[0] = rule[2:]
-        return True
+        for parent, c, child in made:
+            self._attach(parent, c, child)
+        # the root is never an output: an empty path lhs would match
+        # everywhere, and it never applies
+        if not made and node[3]:
+            _outputs(node)
 
-    def _link(self) -> None:
-        # breadth first, so every suffix is linked before its extensions
-        root = self.root
-        root[2] = dict(root[1])
-        queue = [root]
-        for node in queue:
-            for c, child in node[1].items():
-                child[4] = _goto(node[4], c) if node[3] else root
-                child[2] = dict(child[1])
-                # the root is never an output: an empty path lhs would
-                # match everywhere, and it never applies
-                child[5] = child if child[0] is not None else child[4][5]
-                queue.append(child)
+    def _attach(self, parent: list, c, new: list) -> None:
+        """Link ``new``, just made as ``parent``'s child on ``c``, into a
+        trie whose other links are exact.  Only the nodes on whose
+        failure chain ``parent`` lies have ``parent``'s key as a suffix:
+        each of them whose transition on ``c`` ends short of ``new``
+        now ends at it, as a memo, or as a child whose failure link is
+        moved to it.  A transition on ``c`` that reaches as deep as
+        ``new`` stays, and so does every one below it on the failure
+        tree, which can only reach deeper."""
+        depth = new[3]
+        below = list(parent[6].values())
+        while below:
+            node = below.pop()
+            nxt = node[2].get(c)
+            if nxt is None or nxt[3] < depth:
+                if nxt is not None:
+                    node[2][c] = new
+                below += node[6].values()
+            else:
+                child = node[1].get(c)
+                if child is not None and child[4][3] < depth:
+                    # by identity: nodes are lists, and compare by value
+                    del child[4][6][id(child)]
+                    child[4] = new
+                    new[6][id(child)] = child
+        fail = new[4] = _goto(parent[4], c) if parent[3] else self.root
+        fail[6][id(new)] = new
+        _outputs(new)
+
+
+def _outputs(node: list) -> None:
+    """Set the output link of ``node`` and of every node whose failure
+    chain passes it before reaching a live terminal: its nearest live
+    terminal along that chain, itself included, else the next output
+    link up.  A live terminal below ``node`` already outputs itself, and
+    the nodes below it are not reached."""
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if n[0] is None or n is node:
+            n[5] = n if n[0] is not None else n[4][5]
+            stack += n[6].values()
 
 
 def _is_term(word: tuple) -> bool:
@@ -294,6 +331,13 @@ class RewriteSystem:
     @cached_property
     def _index(self) -> _RuleIndex:
         return _RuleIndex(self.rules)
+
+    @cached_property
+    def confluent(self) -> bool:
+        """Whether the reduction is confluent.  A system that ``complete``
+        returns as COMPLETE carries its proof, set there; any other is
+        checked by ``check_confluence`` on the first read."""
+        return check_confluence(self)
 
 
 class CompletionStatus(enum.Enum):
@@ -451,7 +495,9 @@ def resolves(cp: CriticalPair, system: RewriteSystem) -> bool:
 def check_confluence(system: RewriteSystem) -> bool:
     """Local confluence; with oriented rules this is full confluence.  The
     critical pairs are read off the system's index as coded sides, and
-    each pair resolves when its two sides reduce to the same word."""
+    each pair resolves when its two sides reduce to the same word.  The
+    full check always runs, even on a system that carries its proof
+    (``RewriteSystem.confluent``, set by ``complete``)."""
     idx = system._index
     for *_, left, right in _critical_pairs(idx, [], list(enumerate(idx.rules))):
         reduce = _reduce_term if _is_term(left[1]) else _reduce_path
@@ -494,7 +540,9 @@ def complete(
     in the pass after its newer rule went in, and carried to later
     passes in the sorted list they read.  The loop ends when a pass adds
     nothing; the result is then interreduced (by default) so printed
-    systems are canonical.  Limits turn runaway
+    systems are canonical.  A COMPLETE result's system, raw or
+    interreduced, carries its proof: its ``confluent`` reads True without
+    checking the pairs again.  Limits turn runaway
     completions into a status, not an error; ``max_rule_length`` (list
     length of a new left-hand side) additionally guards against
     divergent runs whose rules grow without bound.  The pass loop runs
@@ -578,6 +626,10 @@ def complete(
     final = _system(idx, idx.rules)
     if interreduce_after:
         final = interreduce(final, order)
+    # the last pass read every critical pair of the final rules and each
+    # resolved, so by Newman's lemma the raw system is confluent, and so
+    # is its interreduced form (Book & Otto 1993, ch. 2)
+    vars(final)["confluent"] = True
     return CompletionResult(CompletionStatus.COMPLETE, None, final, passes,
                             len(idx.rules) - len(system))
 

@@ -280,6 +280,20 @@ def test_invalid_presentation_reports_field(capsys, tmp_path, data_dir):
     assert "FArrA[2]" in err
 
 
+@pytest.mark.parametrize("label", ["a,b", "a*b"])
+def test_a_label_holding_a_separator_exits_1(capsys, tmp_path, label):
+    # neither --deltaorder nor --term could name such an arrow, and the
+    # catalogue could not print it apart from the labels around it
+    f = tmp_path / "one_arrow.json"
+    f.write_text(json.dumps({
+        "ObA": [1], "ArrA": [], "ObB": [1], "ArrB": [[label, 1, 1]], "RelB": [],
+        "FObA": [1], "FArrA": [], "XObA": [["x"]], "XArrA": []}))
+    for argv in (["rules"], ["enumerate", "--deltaorder", label], ["reduce", "--term", f"x*{label}"]):
+        code, out, err = run_cli(capsys, *argv, str(f))
+        assert (code, out) == (1, "")
+        assert f"ArrB[1]: label {label!r} contains {label[1]!r}, which separates labels" in err
+
+
 def test_bad_flag_is_usage_error(capsys, data_dir):
     code, _, err = run_cli(capsys, "enumerate", "--limit", "0",
                            str(data_dir / "infinite_extension.json"))

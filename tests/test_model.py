@@ -99,6 +99,25 @@ def test_non_string_labels_are_reported(demo_pres):
     assert "ArrB[1]: label 7 is not a string" in validate_presentation(bad).violations
 
 
+def test_labels_holding_a_separator_are_reported(data_dir):
+    # the command line joins a term's labels with '*' and an order's with
+    # ',', so a label holding either could not be named or printed apart
+    text = (data_dir / "infinite_extension.json").read_text()
+    text = text.replace('"b1"', '"b,1"').replace('"b4"', '"b*4"').replace('"x2"', '"x*2"')
+    pres = parse_presentation(text)
+    assert [a.label for a in pres.arr_b[:4]] == ["b,1", "b2", "b3", "b*4"]
+    assert list(validate_presentation(pres).violations) == [
+        "ArrB[1]: label 'b,1' contains ',', which separates labels",
+        "ArrB[4]: label 'b*4' contains '*', which separates labels",
+        "XObA[1]: element label 'x*2' contains '*', which separates labels",
+    ]
+    both = dataclasses.replace(pres, arr_b=(Arrow("b,*", 1, 2), *pres.arr_b[1:]))
+    assert list(validate_presentation(both).violations[:2]) == [
+        "ArrB[1]: label 'b,*' contains ',', which separates labels",
+        "ArrB[1]: label 'b,*' contains '*', which separates labels",
+    ]
+
+
 def test_hand_built_paths_are_checked(demo_pres):
     # the JSON reader composes paths as it reads them, so only a path
     # built by hand can break composition or misstate its source
