@@ -1,15 +1,14 @@
 #!/usr/bin/env python3
 """Time completion and enumeration on groups larger than the benchmark's.
 
-    python3 scripts/ladder.py                      # every case, best of 3
-    python3 scripts/ladder.py --cases s6,z6_8 --repeat 5
+    python3 scripts/ladder.py
 
 Each case is a group as a monoid presentation acting on one point, so
 its normal forms are words.  For each case one line gives the completion
 status, passes, rules added and final rules, the sha256 of the rule
 listing (``format_system`` lines joined by newlines), the normal forms
 enumerated and how the enumeration ended, and the best times of
-``complete`` and of ``enumerate_extension`` over the repeats.  The
+``complete`` and of ``enumerate_extension`` over ``REPEAT`` runs.  The
 counts and the digest do not depend on the machine; the times do.  A
 case whose completion stops at its budget is not enumerated.
 
@@ -28,7 +27,6 @@ Cases:
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import pathlib
 import sys
@@ -79,6 +77,9 @@ def cyclic_power(m: int, k: int) -> MonoidPresentationDesc:
     return MonoidPresentationDesc(gens, tuple(rels))
 
 
+# runs per step; the best time is kept
+REPEAT = 3
+
 # name -> (presentation, completion budget, enumeration limit)
 CASES = {
     "s6": (s6, {}, 1000),
@@ -88,24 +89,24 @@ CASES = {
 }
 
 
-def _best(repeat: int, fn) -> tuple[list, float]:
-    """The results of ``repeat`` calls of ``fn()``, and the fastest time."""
+def _best(fn) -> tuple[list, float]:
+    """The results of ``REPEAT`` calls of ``fn()``, and the fastest time."""
     results, times = [], []
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         start = time.perf_counter()
         results.append(fn())
         times.append(time.perf_counter() - start)
     return results, min(times)
 
 
-def run_case(desc: MonoidPresentationDesc, limits: dict, limit: int | None, repeat: int = 3) -> dict:
-    """Complete one group ``repeat`` times from the same rules and, within
+def run_case(desc: MonoidPresentationDesc, limits: dict, limit: int | None) -> dict:
+    """Complete one group ``REPEAT`` times from the same rules and, within
     ``limit``, enumerate each result once; the counts, the listing's
     digest and each step's best time."""
     pres = from_monoid_presentation(desc)
     order = OrderSpec.from_presentation(pres)
     system = initial_rules(pres, order)
-    results, complete_s = _best(repeat, lambda: complete(system, order, **limits))
+    results, complete_s = _best(lambda: complete(system, order, **limits))
     result = results[-1]
     listing = "\n".join(format_system(result.system, order))
     out = {
@@ -123,24 +124,14 @@ def run_case(desc: MonoidPresentationDesc, limits: dict, limit: int | None, repe
         # each run reads a result of its own, as a caller of complete
         # then enumerate_extension does
         tables, out["enumerate_s"] = _best(
-            repeat, lambda: enumerate_extension(pres, results.pop().system, limit, order))
+            lambda: enumerate_extension(pres, results.pop().system, limit, order))
         out["forms"], out["enumeration"] = tables[-1].total, tables[-1].status.value
     return out
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--cases", default=",".join(CASES),
-                        help=f"comma-separated cases, of {', '.join(CASES)} (default: all)")
-    parser.add_argument("--repeat", type=int, default=3, help="runs per step; the best is kept")
-    args = parser.parse_args(argv)
-    names = args.cases.split(",")
-    unknown = [n for n in names if n not in CASES]
-    if unknown or args.repeat < 1:
-        parser.error(f"unknown cases: {', '.join(unknown)}" if unknown else "--repeat must be positive")
-    for name in names:
-        build, limits, limit = CASES[name]
-        r = run_case(build(), limits, limit, args.repeat)
+def main() -> int:
+    for name, (build, limits, limit) in CASES.items():
+        r = run_case(build(), limits, limit)
         enumerate_s = "-" if r["enumerate_s"] is None else f"{r['enumerate_s']:.3f}"
         print(f"{name}: {r['status']} passes={r['passes']} rules_added={r['rules_added']} "
               f"rules_final={r['rules_final']} listing={r['listing_sha256']} "

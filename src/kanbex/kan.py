@@ -26,7 +26,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .model import Arrow, CompositionError, KanPresentation, Path, Term
 from .ordering import OrderSpec
-from .rewrite import RewriteSystem, _step, check_confluence, reduce_term
+from .rewrite import RewriteSystem, _proven, _step, check_confluence, reduce_term
 
 DEFAULT_LIMIT = 1000
 
@@ -128,7 +128,7 @@ def enumerate_extension(
     """
     if limit < 1:
         raise ValueError("enumeration limit must be positive")
-    if not (vars(system).get("confluent") or check_confluence(system)):
+    if not (_proven(system) or check_confluence(system)):
         raise ValueError("rewrite system is not confluent; normal forms are not well-defined")
     if order is None:
         order = OrderSpec.from_presentation(pres)

@@ -340,6 +340,12 @@ class RewriteSystem:
         return check_confluence(self)
 
 
+def _proven(system: RewriteSystem) -> bool:
+    """Whether ``system`` is known to be confluent without a check: it
+    carries the proof of ``complete``, or its ``confluent`` was read True."""
+    return vars(system).get("confluent", False)
+
+
 class CompletionStatus(enum.Enum):
     COMPLETE = "complete"
     LIMIT_EXCEEDED = "limit_exceeded"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import pathlib
 
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from kanbex import (
     Arrow,
     KanPresentation,
-    MonoidPresentationDesc,
     OrderSpec,
     Path,
     complete,
@@ -54,26 +54,16 @@ def compare(a, b, order: OrderSpec, pres: KanPresentation) -> int:
     return sign
 
 
+# ``scripts/ladder.py``, loaded as a module; its builders make the group
+# presentations that the tests use too
+_spec = importlib.util.spec_from_file_location("ladder", REPO / "scripts" / "ladder.py")
+ladder = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ladder)
+# the Coxeter presentation of S_n
+coxeter = ladder.coxeter
 # the infinite von Dyck group (2,5,4): completion never ends, so runs of
 # it stop at a budget
-VON_DYCK = MonoidPresentationDesc(("a", "b", "B"), (
-    (("a", "a"), ()),
-    (("b", "B"), ()),
-    (("B", "b"), ()),
-    (("b",) * 5, ()),
-    (("a", "b") * 4, ()),
-))
-
-
-def coxeter(n: int) -> MonoidPresentationDesc:
-    """The Coxeter presentation of S_n: generators s1..s(n-1), s_i^2 = 1,
-    braids between neighbours and commutations between the others."""
-    gens = tuple(f"s{i}" for i in range(1, n))
-    rels = [((s, s), ()) for s in gens]
-    rels += [((a, b, a), (b, a, b)) for a, b in zip(gens, gens[1:])]
-    rels += [((gens[j], gens[i]), (gens[i], gens[j]))
-             for i in range(len(gens)) for j in range(i + 2, len(gens))]
-    return MonoidPresentationDesc(gens, tuple(rels))
+VON_DYCK = ladder.von_dyck()
 
 
 @pytest.fixture(scope="session")

@@ -1,17 +1,11 @@
 """``scripts/ladder.py`` on a small case: its counts only, as its times
 depend on the machine."""
 
-import importlib.util
-from pathlib import Path
-
-_spec = importlib.util.spec_from_file_location(
-    "ladder", Path(__file__).resolve().parent.parent / "scripts" / "ladder.py")
-ladder = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(ladder)
+from .conftest import ladder
 
 
 def test_coxeter_s4_counts():
-    got = ladder.run_case(ladder.coxeter(4), {}, 1000, repeat=2)
+    got = ladder.run_case(ladder.coxeter(4), {}, 1000)
     assert {k: got[k] for k in ("status", "passes", "rules_added", "rules_final", "forms",
                                 "enumeration")} == {
         "status": "complete", "passes": 2, "rules_added": 1, "rules_final": 7, "forms": 24,
