@@ -3,7 +3,7 @@
 Commands mirror the three stages of a run (initial rules, completion,
 enumeration) plus reduction to normal form, a confluence query and the
 problem-family encoders.  Exit codes: 0 success, 1 validation/usage
-error, 2 limit exceeded, 3 I/O error.
+error, 2 limit exceeded or interrupted, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -311,6 +311,10 @@ def main(argv=None) -> int:
             # so that the flush at exit cannot fail again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_IO
+    except KeyboardInterrupt:
+        # Ctrl-C stops a run as a budget does, with no traceback
+        print("kanbex: interrupted", file=sys.stderr)
+        return EXIT_LIMIT
 
 
 if __name__ == "__main__":

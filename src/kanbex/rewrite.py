@@ -536,23 +536,24 @@ def complete(
 ) -> CompletionResult:
     """Knuth-Bendix style completion.
 
-    Each pass reads all critical pairs of the rules at its start in a
-    deterministic order (by larger side, then by rules, shape and
+    Each pass goes through all critical pairs of the rules at its start
+    in a deterministic order (by larger side, then by rules, shape and
     position), reduces both sides against the growing rule set, and adds
-    every pair that fails to resolve, oriented.  A side is reduced once
-    per rule set that can reach it: under length-lex no reduction makes a
-    word longer, so a new rule changes only the normal forms of sides at
-    least as long as its left-hand side.  Each pair is built once,
-    in the pass after its newer rule went in, and carried to later
-    passes in the sorted list they read.  The loop ends when a pass adds
-    nothing; the result is then interreduced (by default) so printed
-    systems are canonical.  A COMPLETE result's system, raw or
-    interreduced, carries its proof: its ``confluent`` reads True without
-    checking the pairs again.  Limits turn runaway
-    completions into a status, not an error; ``max_rule_length`` (list
-    length of a new left-hand side) additionally guards against
-    divergent runs whose rules grow without bound.  The pass loop runs
-    on coded rules; the result is decoded once.
+    every pair that fails to resolve, oriented.  A new rule changes only
+    the normal forms of sides at least as long as its left-hand side, so
+    a side is reduced once per rule set that can reach it, and a pair
+    that resolved is read again only after a rule that can reach its
+    longer side went in.  Each pair is built once, in the pass after its
+    newer rule went in, and carried to later passes in the sorted list
+    they go through.  The loop ends when a pass adds nothing; the result
+    is then interreduced (by default) so printed systems are canonical.
+    A COMPLETE result's system, raw or interreduced, carries its proof:
+    its ``confluent`` reads True without checking the pairs again.
+    Limits turn runaway completions into a status, not an error;
+    ``max_rule_length`` (list length of a new left-hand side)
+    additionally guards against divergent runs whose rules grow without
+    bound.  The pass loop runs on coded rules; the result is decoded
+    once.
     """
     if max_rules <= 0 or max_passes <= 0:
         raise ValueError("limits must be positive")
@@ -575,14 +576,22 @@ def complete(
     # it.  Every rule is oriented by ``word_key``, which puts the longer
     # word first within a kind, so no word in a side's derivation is
     # longer than the side, and a rule whose lhs word is longer matches
-    # none of them.  ``memo`` maps the length of a side's word to a map
-    # from each such side to its normal form; a new rule drops the sides
-    # at least as long as its lhs and keeps the others exact.  ``forms``
-    # keeps one tuple per normal form found since the last rule went in,
-    # for memory: without it a CLI ``enumerate`` of S5 <a,b,B> peaked at
-    # 20.5 MB, not 20.0 (6 runs each, CPython 3.11), in the same time
+    # none of them: a new rule changes only the normal forms of sides at
+    # least as long as its lhs.  ``memo`` maps the length of a side's word
+    # to a map from each such side to its normal form; a new rule drops
+    # the sides at least as long as its lhs and keeps the others exact.
+    # ``changed[n]`` is the rule count just after the last add whose lhs
+    # word is at most n long, its last entry standing for every longer n;
+    # a pair last read when t rules were in is skipped while ``changed``
+    # at its longer side is at most t: it resolved then (had it not, the
+    # rule it added would reach it), and read again it would only find
+    # both sides in ``memo``, equal.  ``forms`` keeps one tuple per normal
+    # form found since the last rule went in, for memory: without it a
+    # CLI ``enumerate`` of S5 <a,b,B> peaked at 20.5 MB, not 20.0 (6 runs
+    # each, CPython 3.11), in the same time
     memo: dict[int, dict[tuple, tuple]] = {}
     forms: dict[tuple, tuple] = {}
+    changed = [0]
 
     def normal_form(side: tuple, reduce) -> tuple:
         known = memo.get(len(side[1]))
@@ -603,13 +612,21 @@ def complete(
             return stop(f"pass limit {max_passes} reached")
         passes += 1
         # each pair is built once: those of the new rules are keyed and
-        # merged into the carried ones, and all are read by larger side
-        pairs += [(max(word_key(left[1], x_rank), word_key(right[1], x_rank)), ij, case, pos,
-                   left, right) for case, ij, pos, left, right
+        # merged into the carried ones, and all are read by larger side.
+        # A pair is a flat list, ``[*key, *i, *j, case, position, left,
+        # right, read]``: it sorts as the nested tuple would, but faster.
+        # ``read`` is the rule count at its last read, -1 before the first
+        pairs += [[*max(word_key(left[1], x_rank), word_key(right[1], x_rank)), ki, pi, kj, pj,
+                   case, pos, left, right, -1] for case, ((ki, pi), (kj, pj)), pos, left, right
                   in _critical_pairs(idx, ranked[:start], ranked[start:])]
         pairs.sort()
         start = len(ranked)
-        for _, _, _, _, left, right in pairs:
+        for record in pairs:
+            # ``record[1]`` is the longer side's length
+            if changed[min(record[1], len(changed) - 1)] <= record[-1]:
+                continue
+            left, right = record[-3], record[-2]
+            record[-1] = len(idx.rules)
             term = _is_term(left[1])
             reduce = _reduce_term if term else _reduce_path
             rule = _oriented(normal_form(left, reduce), normal_form(right, reduce), x_rank)
@@ -621,7 +638,10 @@ def complete(
             ranked.append(((kind, counts[kind]), rule))
             counts[kind] += 1
             idx.add(rule)
-            for length in [n for n in memo if n >= len(rule[1])]:
+            lhs = len(rule[1])
+            changed += changed[-1:] * (lhs - len(changed))
+            changed[lhs:] = [len(idx.rules)] * max(len(changed) - lhs, 1)
+            for length in [n for n in memo if n >= lhs]:
                 del memo[length]
             forms.clear()
             if len(idx.rules) > max_rules:

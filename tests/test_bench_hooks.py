@@ -210,19 +210,67 @@ def test_reductions_call_the_stamped_functions(monkeypatch):
     assert got == REDUCTIONS
 
 
+def _read_order(ranked: list[tuple], x_rank) -> list[tuple]:
+    """The pairs that a pass of ``complete`` goes through when its rules
+    are the ranked rules ``ranked``: every critical pair of them, found by
+    the sliced oracle, as ``(case, (i, j), left, right)`` in the order by
+    larger side, then rule indices, then case."""
+    pairs = sliced_critical_pairs([rule for _, rule in sorted(ranked)])
+    pairs.sort(key=lambda cp: (max(word_key(cp[2][1], x_rank), word_key(cp[3][1], x_rank)),
+                               cp[1], cp[0]))
+    return pairs
+
+
+class _Reads:
+    """The pairs that ``complete`` reads, by the reach rule: each pass
+    goes through its pairs in ``_read_order`` and skips a pair last read
+    when t rules were in while no rule added since has an lhs word no
+    longer than the pair's longer side.  A pair is known across passes by
+    its case, its rules' ranks, its sides and which of its equals in the
+    pass it is."""
+
+    def __init__(self):
+        self.read = {}  # a pair -> the rule count at its last read
+        self.rest = iter(())
+
+    def start(self, ranked: list[tuple], x_rank) -> None:
+        """Start a pass over the ranked rules ``ranked``."""
+        ranks = [rank for rank, _ in sorted(ranked)]
+        seen = Counter()
+        pairs = []
+        for case, (i, j), left, right in _read_order(ranked, x_rank):
+            name = (case, ranks[i], ranks[j], left, right)
+            seen[name] += 1
+            pairs.append(((name, seen[name]), left, right))
+        self.rest = iter(pairs)
+
+    def next(self, lengths: list[int]) -> tuple:
+        """The pair read next, as ``(left, right)``, or None when the pass
+        reads no more, and the pairs skipped before it.  ``lengths`` are
+        the lhs word lengths of the rules in so far, in the order added."""
+        skipped = []
+        for name, left, right in self.rest:
+            last, longest = self.read.get(name), max(len(left[1]), len(right[1]))
+            if last is not None and all(n > longest for n in lengths[last:]):
+                skipped.append((left, right))
+                continue
+            self.read[name] = len(lengths)
+            return (left, right), skipped
+        return None, skipped
+
+
 def test_complete_reduces_each_side_once_per_rule_set(monkeypatch):
     # a pair side is reduced only the first time it comes up since the
     # last rule went in that can reach it, one whose lhs word is no longer
     # than the side's: the stamped calls are the distinct (side, such rules
-    # added so far) among the sides of the pairs the passes read
+    # added so far) among the sides of all the pairs each pass goes
+    # through, read or skipped (a skipped pair's sides are reached by no
+    # rule added since its last read)
     events = []
-    passes = []
     critical_pairs, oriented, add = rewrite._critical_pairs, rewrite._oriented, rewrite._RuleIndex.add
 
     def logged_pairs(idx, old, new):
-        # a pass reads every pair of the rules at its start in this order
-        # (test_each_pass_reads_the_sorted_pairs_of_its_rules)
-        passes.append(_read_order(old + new, order.x_rank))
+        events.append(("pass", old + new))
         return critical_pairs(idx, old, new)
 
     def logged_oriented(*args):
@@ -252,10 +300,8 @@ def test_complete_reduces_each_side_once_per_rule_set(monkeypatch):
         order = OrderSpec.from_presentation(pres)
         system = initial_rules(pres, order)
         events.clear()
-        passes.clear()
         complete(system, order, interreduce_after=False)
-        # pair k of a pass is read at that pass's k-th "pair" event
-        read = iter(cp for pairs in passes for cp in pairs)
+        reads = _Reads()
         added = []  # the lhs word lengths of the rules added so far
 
         def reaching(side):
@@ -263,47 +309,58 @@ def test_complete_reduces_each_side_once_per_rule_set(monkeypatch):
 
         sides = set()
         reduced = []
-        for event in events:
-            if event[0] == "pair":
-                _, _, left, right = next(read)
-                sides |= {(left, reaching(left)), (right, reaching(right))}
-            elif event[0] == "add":
+        for event in events + [("pass", [])]:
+            if event[0] == "add":
                 added.append(event[1])
-            else:
+            elif event[0] == "reduce":
                 reduced.append((event[1], reaching(event[1])))
+            else:
+                # a pass reads no more pairs when the next one starts
+                pair, pairs = reads.next(added)
+                assert (pair is None) == (event[0] == "pass")
+                pairs += [pair] if pair else []
+                sides |= {(side, reaching(side)) for p in pairs for side in p}
+                if event[0] == "pass":
+                    reads.start(event[1], order.x_rank)
         assert len(reduced) == len(set(reduced)) == len(sides)
         assert set(reduced) == sides
 
 
-def _read_order(ranked: list[tuple], x_rank) -> list[tuple]:
-    """The pairs that a pass of ``complete`` reads when its rules are the
-    ranked rules ``ranked``: every critical pair of them, found by the
-    sliced oracle, as ``(case, (i, j), left, right)`` in the order by
-    larger side, then rule indices, then case."""
-    pairs = sliced_critical_pairs([rule for _, rule in sorted(ranked)])
-    pairs.sort(key=lambda cp: (max(word_key(cp[2][1], x_rank), word_key(cp[3][1], x_rank)),
-                               cp[1], cp[0]))
-    return pairs
-
-
 def test_each_pass_reads_the_sorted_pairs_of_its_rules(monkeypatch):
     # complete builds each pair once and carries it over to later passes,
-    # yet every pass reads the full sorted pair list of the rules at its
-    # start: each oriented pair is the normal forms, under the rules so
-    # far, of the sides of the next pair in that list, and a pass ends
-    # when the list does
+    # and every pass goes through the full sorted pair list of the rules
+    # at its start, skipping by the reach rule (``_Reads``): each oriented
+    # pair is the normal forms, under the rules so far, of the sides of
+    # the next pair read, every pair skipped resolves under them, and a
+    # pass ends when the list does
     critical_pairs, oriented = rewrite._critical_pairs, rewrite._oriented
     run = {}
 
+    def lengths():
+        return [len(rule[1]) for rule in run["idx"].rules]
+
+    def resolve(pairs):
+        for left, right in pairs:
+            assert rewrite._rewrite(left, run["idx"]) == rewrite._rewrite(right, run["idx"])
+
+    def end_pass():
+        # a pass goes through its list to the end, skipping what is left
+        pair, skipped = run["reads"].next(lengths())
+        assert pair is None
+        resolve(skipped)
+
     def logged_pairs(idx, old, new):
-        assert next(run["read"], None) is None
+        run["idx"] = idx
+        end_pass()
+        run["reads"].start(old + new, order.x_rank)
         found = critical_pairs(idx, old, new)
-        run.update(idx=idx, read=iter(_read_order(old + new, order.x_rank)),
-                   passes=run["passes"] + 1, built=run["built"] + len(found))
+        run.update(passes=run["passes"] + 1, built=run["built"] + len(found))
         return found
 
     def logged_oriented(a, b, x_rank):
-        _, _, left, right = next(run["read"])
+        pair, skipped = run["reads"].next(lengths())
+        resolve(skipped)
+        left, right = pair
         assert (a, b) == (rewrite._rewrite(left, run["idx"]), rewrite._rewrite(right, run["idx"]))
         return oriented(a, b, x_rank)
 
@@ -318,12 +375,12 @@ def test_each_pass_reads_the_sorted_pairs_of_its_rules(monkeypatch):
     problems += [(HAND_BUILT[name], hand_order, {}, built)
                  for name, built in (("duplicate lhs", 21), ("empty path lhs", 34))]
     for system, order, limits, built in problems:
-        run.update(read=iter(()), passes=0, built=0)
+        run.update(reads=_Reads(), passes=0, built=0)
         monkeypatch.setattr(rewrite, "_critical_pairs", logged_pairs)
         monkeypatch.setattr(rewrite, "_oriented", logged_oriented)
         raw = complete(system, order, interreduce_after=False, **limits)
         monkeypatch.undo()
-        assert next(run["read"], None) is None
+        end_pass()
         assert run["passes"] == raw.passes
         if raw.complete:
             # each pair of the final rules was built once, in the pass
@@ -360,6 +417,35 @@ def test_each_candidate_calls_extension_reducible(monkeypatch):
         total = enumerate_extension(pres, result.system).total
         got[name] = (len(calls), total)
     assert got == CANDIDATES
+
+
+# the pairs complete reads (calls to ``_oriented`` in its pass loop),
+# its passes and the rules it adds: a pair that resolved is read again
+# only after a rule that can reach it went in, which changes the reads
+# and neither of the others
+# (test_each_pass_reads_the_sorted_pairs_of_its_rules)
+PAIRS_READ = {
+    "s5": (6590, 6, 78),
+    "von_dyck_9_passes": (912, 9, 24),
+    "coxeter8": (469, 6, 15),
+}
+
+
+def test_complete_reads_only_the_pairs_a_new_rule_can_reach(monkeypatch):
+    problems = {"s5": (S5, {}), "von_dyck_9_passes": (VON_DYCK, {"max_passes": 9}),
+                "coxeter8": (coxeter(8), {})}
+    calls = []
+    got = {}
+    for name, (desc, limits) in problems.items():
+        pres = from_monoid_presentation(desc)
+        order = OrderSpec.from_presentation(pres)
+        system = initial_rules(pres, order)
+        with monkeypatch.context() as m:
+            calls.clear()
+            _log_calls(m, calls, rewrite, "_oriented")
+            result = complete(system, order, interreduce_after=False, **limits)
+        got[name] = (len(calls), result.passes, result.rules_added)
+    assert got == PAIRS_READ
 
 
 def test_no_catalogue_builds_terms(monkeypatch, capsys, tmp_path):

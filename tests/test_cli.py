@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -438,6 +439,22 @@ def test_budgeted_von_dyck_enumerate_stops_at_the_pass_limit(capsys, tmp_path):
         2, "",
         "completion limit exceeded (pass limit 4 reached) after 4 passes; 19 rules so far\n",
     )
+
+
+def test_ctrl_c_stops_a_run_with_exit_2(tmp_path):
+    # von Dyck (2,5,4) runs for minutes under 100 passes: SIGINT lands in
+    # completion, and the run ends with one stderr line, no traceback
+    f = tmp_path / "vondyck.json"
+    f.write_text(json.dumps(presentation_to_json(from_monoid_presentation(VON_DYCK))))
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "kanbex", "enumerate", "--max-passes", "100",
+                             str(f)], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        out, err = proc.communicate(timeout=1)
+    except subprocess.TimeoutExpired:
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out, err) == (2, b"", b"kanbex: interrupted\n")
 
 
 COSETS_CSQ_ENUMERATION = {
