@@ -7,6 +7,14 @@ of the previous stage's survivors.  When a whole stage dies the
 catalogue is finite and complete, because any longer term contains a
 reducible prefix; a global element limit guards the infinite case.
 
+The normal forms are the language of a finite automaton (Epstein et
+al., Word Processing in Groups, 1992; Sims, Computation with Finitely
+Presented Groups, 1994, section 3.5): its states are the rule index's
+states, each at an object, and its edges the arrows that keep a form
+irreducible.  Enumeration builds it first, stepping the index once per
+state and arrow; each form keeps its state, so testing a one-arrow
+extension is one lookup.
+
 Under length-lex the normal forms are prefix-closed, so the catalogue is
 kept as a forest: each form is its parent, a form one arrow shorter,
 plus one arrow.  Enumeration records only that, with no object per
@@ -107,9 +115,11 @@ class KanTables:
             lo, hi = hi, end
 
 
-# the one-arrow step of an irreducible form, under the name by which the
-# candidates are counted; stage one steps from the root under ``_step``
-_extension_reducible = _step
+# the test of one candidate, a one-arrow extension of an irreducible
+# form: its automaton state's edge on the arrow's code (see
+# enumerate_extension), None when the extension is reducible; under this
+# name the benchmark counts the candidates
+_extension_reducible = dict.get
 
 
 def enumerate_extension(
@@ -134,20 +144,37 @@ def enumerate_extension(
         order = OrderSpec.from_presentation(pres)
     idx = system._index
 
-    # the forest (see KanTables), and each form's rule index state (see
-    # rewrite._step)
+    # the normal-form automaton: a state is a rule index state (see
+    # rewrite._step) at an object, keyed by both, since one index state
+    # is reached over arrows into different objects (the root, after any
+    # letter that starts no left-hand side).  It is a dict from the code
+    # of each arrow out of its object that keeps a form irreducible to
+    # the state after that arrow.  A state is made when first reached and
+    # its edges are found before any form is extended, so _step is called
+    # once per tag and once per (state, arrow out of its object)
+    automaton: dict[tuple[int, int], dict] = {}
+    todo: list[tuple[list, int, dict]] = []
+
+    def state(node: list, obj: int) -> dict:
+        edges = automaton.get((id(node), obj))
+        if edges is None:
+            edges = automaton[id(node), obj] = {}
+            todo.append((node, obj, edges))
+        return edges
+
+    # the forest (see KanTables), and each form's automaton state
     parents: list[int] = []
     steps: list[str | Arrow] = []
     targets: list[int] = []
-    states: list[list] = []
+    states: list[dict] = []
     total = 0
     exceeded = False
 
     # an empty path is never a left-hand side, so x|id is irreducible
     # exactly when reading its tag gives no output
     for x in sorted(pres.x_labels, key=lambda l: order.x_rank[l]):
-        state = _step(idx.root, x)
-        if state is None:
+        node = _step(idx.root, x)
+        if node is None:
             continue
         if total >= limit:
             exceeded = True
@@ -155,20 +182,28 @@ def enumerate_extension(
         parents.append(-1)
         steps.append(x)
         targets.append(pres.tag_source(x))
-        states.append(state)
+        states.append(state(node, targets[-1]))
         total += 1
 
     arrows_by_src: dict[int, list[tuple[Arrow, int | Arrow]]] = {}
     for a in sorted(pres.arr_b, key=lambda a: order.delta_rank[a.label]):
         arrows_by_src.setdefault(a.src, []).append((a, idx.lookup((a,))[0]))
 
+    while todo:
+        node, obj, edges = todo.pop()
+        for arrow, code in arrows_by_src.get(obj, ()):
+            nxt = _step(node, code)
+            if nxt is not None:
+                edges[code] = state(nxt, arrow.tgt)
+
     # forms are extended in the order they were found, so each stage is
-    # extended after the whole of the one before it
+    # extended after the whole of the one before it; each candidate is
+    # one lookup in its form's state
     form = 0
     while form < total and not exceeded:
-        state = states[form]
+        edges = states[form]
         for arrow, code in arrows_by_src.get(targets[form], ()):
-            ext_state = _extension_reducible(state, code)
+            ext_state = _extension_reducible(edges, code)
             if ext_state is None:
                 continue
             if total >= limit:

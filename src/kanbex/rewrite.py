@@ -239,10 +239,7 @@ def _step(state: list, code) -> list | None:
     reduces, None says that the word with ``code`` appended is reducible:
     a match in it ends at the new letter, and a system's index holds a
     right-hand side at every terminal."""
-    try:
-        state = state[2][code]
-    except KeyError:
-        state = _goto(state, code)
+    state = _goto(state, code)
     return None if state[5] is not None else state
 
 

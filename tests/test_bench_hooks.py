@@ -419,6 +419,47 @@ def test_each_candidate_calls_extension_reducible(monkeypatch):
     assert got == CANDIDATES
 
 
+def _enumerate_stepping(pres, system):
+    """Enumerate ``pres`` under ``system``, recording every call to
+    ``rewrite._step``, under whatever name it is reached: the object its
+    code leads to (a tag's source, an arrow's target) and the state it
+    returned.  Gives the tables and the calls."""
+    step = rewrite._step.__code__
+    idx = system._index
+    target = {idx.lookup((a,))[0]: a.tgt for a in pres.arr_b}
+    target.update((x, pres.tag_source(x)) for x in pres.x_labels)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code is step:
+            calls.append((target[frame.f_locals["code"]], arg))
+
+    sys.setprofile(profile)
+    try:
+        tables = enumerate_extension(pres, system)
+    finally:
+        sys.setprofile(None)
+    return tables, calls
+
+
+def test_enumeration_steps_once_per_automaton_edge():
+    # the candidates are tested against the normal-form automaton, built
+    # first: each call to rewrite._step steps a tag, or steps one of the
+    # automaton's states (a rule index state at an object) on an arrow out
+    # of that object, and each of those once, however many forms share
+    # the state
+    problems = [("coxeter4", from_monoid_presentation(coxeter(4)))]
+    problems += [(name, _bundled(family, name)) for family, name in BUNDLED]
+    for name, pres in problems:
+        order = OrderSpec.from_presentation(pres)
+        system = complete(initial_rules(pres, order), order).system
+        out = Counter(a.src for a in pres.arr_b)
+        _, calls = _enumerate_stepping(pres, system)
+        states = {(id(node), obj) for obj, node in calls if node is not None}
+        bound = len(pres.x_labels) + sum(out[obj] for _, obj in states)
+        assert 0 < len(calls) <= bound, name
+
+
 # the pairs complete reads (calls to ``_oriented`` in its pass loop),
 # its passes and the rules it adds: a pair that resolved is read again
 # only after a rule that can reach it went in, which changes the reads

@@ -457,6 +457,28 @@ def test_ctrl_c_stops_a_run_with_exit_2(tmp_path):
     assert (proc.returncode, out, err) == (2, b"", b"kanbex: interrupted\n")
 
 
+# run in a fresh interpreter: loading kanbex.cli is interrupted as a
+# SIGINT that lands during the import would interrupt it
+INTERRUPTED_IMPORT = """
+import runpy, sys
+
+class Interrupt:
+    def find_spec(self, name, path=None, target=None):
+        if name == "kanbex.cli":
+            raise KeyboardInterrupt
+
+sys.meta_path.insert(0, Interrupt())
+runpy.run_module("kanbex", run_name="__main__")
+"""
+
+
+def test_ctrl_c_while_loading_the_cli_exits_2():
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-c", INTERRUPTED_IMPORT, "--help"],
+                          capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", b"kanbex: interrupted\n")
+
+
 COSETS_CSQ_ENUMERATION = {
     "status": "Finite", "total": 4,
     "elements": {"1": [["H"], ["H", "a"], ["H", "c"], ["H", "a", "c"]]},

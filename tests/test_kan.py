@@ -10,6 +10,7 @@ from kanbex import (
     EnumerationStatus,
     KanPresentation,
     MonoidPresentationDesc,
+    OrderSpec,
     Path,
     RewriteSystem,
     Term,
@@ -29,8 +30,8 @@ from kanbex import (
 from kanbex.cli import _rules_json, main
 
 from .conftest import build_demo_presentation, coxeter
-from .oracles import all_terms, closure_partition
-from .test_bench_hooks import _bundled
+from .oracles import all_terms, closure_partition, one_step_all
+from .test_bench_hooks import _bundled, _enumerate_stepping
 from .test_cli import BUNDLED
 from .test_random_completion import LIMITS, _draws, _order
 
@@ -202,6 +203,33 @@ def test_enumeration_matches_bounded_closure(demo_pres, demo_complete):
         assert len(inside) <= 1
         nfs = {reduce_term(t, demo_complete) for t in cls}
         assert len(nfs) == 1
+
+
+@pytest.mark.parametrize("family,name", [("category", "s3_cayley_groupoid.json"),
+                                         ("category", "infinite_category.json"),
+                                         (None, "infinite_extension.json")])
+def test_catalogue_is_the_brute_force_irreducible_set(family, name):
+    """On problems with several objects where one rule index state is
+    reached over arrows into different objects, so that the enumeration
+    automaton must tell its states apart by object too, the forms of every
+    whole stage are exactly the terms of that length that no rule
+    rewrites anywhere."""
+    pres = _bundled(family, name)
+    order = OrderSpec.from_presentation(pres)
+    system = complete(initial_rules(pres, order), order).system
+    tables, calls = _enumerate_stepping(pres, system)
+    reached: dict[int, set] = {}
+    for obj, node in calls:
+        if node is not None:
+            reached.setdefault(id(node), set()).add(obj)
+    assert any(len(objects) > 1 for objects in reached.values())
+    forms = {nf for nfs in tables.elements.values() for nf in nfs}
+    longest = max(len(nf.path) for nf in forms)
+    # a finite catalogue has no form one arrow longer; a cut one may be
+    # missing forms of its last stage
+    n = longest + 1 if tables.finite else min(longest - 1, 10)
+    brute = {t for t in all_terms(pres, n + 1) if not one_step_all(t, system)}
+    assert {nf for nf in forms if len(nf.path) <= n} == brute
 
 
 def test_tau_bar_examples(demo_complete):
