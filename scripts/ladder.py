@@ -6,10 +6,12 @@
 Each case is a group as a monoid presentation acting on one point, so
 its normal forms are words.  For each case one line gives the completion
 status, passes, rules added and final rules, the sha256 of the rule
-listing (``format_system`` lines joined by newlines), the normal forms
+listing (``format_system`` lines joined by newlines), that of the raw
+listing (completed with ``interreduce_after=False``, in one more run
+that is not timed), the normal forms
 enumerated and how the enumeration ended, and the best times of
 ``complete`` and of ``enumerate_extension`` over ``REPEAT`` runs.  The
-counts and the digest do not depend on the machine; the times do.  A
+counts and the digests do not depend on the machine; the times do.  A
 case whose completion stops at its budget is not enumerated.
 
 Cases:
@@ -99,22 +101,28 @@ def _best(fn) -> tuple[list, float]:
     return results, min(times)
 
 
+def _digest(system, order: OrderSpec) -> str:
+    return hashlib.sha256("\n".join(format_system(system, order)).encode()).hexdigest()
+
+
 def run_case(desc: MonoidPresentationDesc, limits: dict, limit: int | None) -> dict:
     """Complete one group ``REPEAT`` times from the same rules and, within
-    ``limit``, enumerate each result once; the counts, the listing's
-    digest and each step's best time."""
+    ``limit``, enumerate each result once; the counts, the digests of the
+    listing and of the raw listing (one more completion, not timed,
+    without interreducing) and each step's best time."""
     pres = from_monoid_presentation(desc)
     order = OrderSpec.from_presentation(pres)
     system = initial_rules(pres, order)
     results, complete_s = _best(lambda: complete(system, order, **limits))
     result = results[-1]
-    listing = "\n".join(format_system(result.system, order))
+    raw = complete(system, order, interreduce_after=False, **limits)
     out = {
         "status": result.status.value,
         "passes": result.passes,
         "rules_added": result.rules_added,
         "rules_final": len(result.system),
-        "listing_sha256": hashlib.sha256(listing.encode()).hexdigest(),
+        "listing_sha256": _digest(result.system, order),
+        "raw_listing_sha256": _digest(raw.system, order),
         "complete_s": complete_s,
         "forms": None,
         "enumeration": None,
@@ -135,6 +143,7 @@ def main() -> int:
         enumerate_s = "-" if r["enumerate_s"] is None else f"{r['enumerate_s']:.3f}"
         print(f"{name}: {r['status']} passes={r['passes']} rules_added={r['rules_added']} "
               f"rules_final={r['rules_final']} listing={r['listing_sha256']} "
+              f"raw_listing={r['raw_listing_sha256']} "
               f"forms={r['forms']} ({r['enumeration']}) "
               f"complete_s={r['complete_s']:.3f} enumerate_s={enumerate_s}", flush=True)
     return 0

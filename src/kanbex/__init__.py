@@ -8,68 +8,40 @@ system.  Coset enumeration, congruences, orbits, conjugacy classes,
 colimits and induced actions are all special cases via the encoders.
 """
 
-from .model import (
-    Arrow,
-    CompositionError,
-    KanPresentation,
-    Path,
-    PresentationError,
-    Term,
-    ValidationReport,
-    compose_paths,
-    format_path,
-    format_term,
-    list_as_term,
-    load_presentation,
-    parse_presentation,
-    presentation_from_json,
-    presentation_to_json,
-    term_as_list,
-    validate_presentation,
-)
-from .ordering import OrderSpec
-from .rewrite import (
-    CompletionResult,
-    CompletionStatus,
-    CriticalPair,
-    EpsRule,
-    KRule,
-    RewriteSystem,
-    check_confluence,
-    complete,
-    find_critical_pairs,
-    format_rule,
-    format_system,
-    initial_rules,
-    interreduce,
-    reduce_path,
-    reduce_term,
-    resolves,
-)
-from .kan import (
-    DEFAULT_LIMIT,
-    EnumerationStatus,
-    KanTables,
-    act,
-    enumerate_extension,
-    epsilon,
-    naturality_check,
-    tau_bar,
-)
-from .encodings import (
-    ActionDesc,
-    CosetSystemDesc,
-    MonoidPresentationDesc,
-    conjugation_action,
-    encode_from_json,
-    from_action_orbits,
-    from_category_presentation,
-    from_colimit_diagram,
-    from_coset_system,
-    from_group_morphism,
-    from_monoid_presentation,
-    from_relation_quotient,
-    from_right_congruence,
-)
+import importlib
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# each public name by the module that defines it, a module by itself.
+# They are loaded on first use (PEP 562), so that ``python -m kanbex``
+# imports the engine inside ``__main__``'s handler for Ctrl-C
+_NAMES = {
+    "model": ("Arrow", "CompositionError", "KanPresentation", "Path", "PresentationError", "Term",
+              "ValidationReport", "compose_paths", "format_path", "format_term", "list_as_term",
+              "load_presentation", "parse_presentation", "presentation_from_json",
+              "presentation_to_json", "term_as_list", "validate_presentation"),
+    "ordering": ("OrderSpec",),
+    "rewrite": ("CompletionResult", "CompletionStatus", "CriticalPair", "EpsRule", "KRule",
+                "RewriteSystem", "check_confluence", "complete", "find_critical_pairs",
+                "format_rule", "format_system", "initial_rules", "interreduce", "reduce_path",
+                "reduce_term", "resolves"),
+    "kan": ("DEFAULT_LIMIT", "EnumerationStatus", "KanTables", "act", "enumerate_extension",
+            "epsilon", "naturality_check", "tau_bar"),
+    "encodings": ("ActionDesc", "CosetSystemDesc", "MonoidPresentationDesc", "conjugation_action",
+                  "encode_from_json", "from_action_orbits", "from_category_presentation",
+                  "from_colimit_diagram", "from_coset_system", "from_group_morphism",
+                  "from_monoid_presentation", "from_relation_quotient", "from_right_congruence"),
+}
+_HOMES = {name: module for module, names in _NAMES.items() for name in (module, *names)}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_HOMES[name]}", __name__)
+    value = globals()[name] = module if name in _NAMES else getattr(module, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -78,52 +78,49 @@ def _positive_int(value: str) -> int:
     return n
 
 
-def _add_common(sp, run) -> None:
-    sp.set_defaults(run=run)
-    sp.add_argument("file", help="presentation file (JSON)")
-    sp.add_argument("--order", choices=["lenlex"], default="lenlex",
-                    help="term ordering (only lenlex is available)")
-    sp.add_argument("--xorder", type=_comma_list, default=None, metavar="X1,X2,...",
-                    help="element label order (default: declaration order)")
-    sp.add_argument("--deltaorder", type=_comma_list, default=None, metavar="B1,B2,...",
-                    help="arrow label order (default: declaration order)")
-    sp.add_argument("--format", choices=["text", "json"], default="text")
-
-
-def _add_limits(sp) -> None:
-    sp.add_argument("--max-rules", type=_positive_int, default=DEFAULT_MAX_RULES)
-    sp.add_argument("--max-passes", type=_positive_int, default=DEFAULT_MAX_PASSES)
-    sp.add_argument("--no-interreduce", action="store_true",
-                    help="leave the completed system un-normalized")
-
-
 @cache  # built on the first call to ``main``; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
+    # every command but encode takes the file, order and format options;
+    # those that complete also take the limits
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("file", help="presentation file (JSON)")
+    common.add_argument("--order", choices=["lenlex"], default="lenlex",
+                        help="term ordering (only lenlex is available)")
+    common.add_argument("--xorder", type=_comma_list, default=None, metavar="X1,X2,...",
+                        help="element label order (default: declaration order)")
+    common.add_argument("--deltaorder", type=_comma_list, default=None, metavar="B1,B2,...",
+                        help="arrow label order (default: declaration order)")
+    common.add_argument("--format", choices=["text", "json"], default="text")
+    limits = argparse.ArgumentParser(add_help=False)
+    limits.add_argument("--max-rules", type=_positive_int, default=DEFAULT_MAX_RULES)
+    limits.add_argument("--max-passes", type=_positive_int, default=DEFAULT_MAX_PASSES)
+    limits.add_argument("--no-interreduce", action="store_true",
+                        help="leave the completed system un-normalized")
+
     parser = _Parser(prog="kanbex",
                      description="Compute extensions of category actions by rewriting.")
     sub = parser.add_subparsers(dest="command", required=True)
+    sp = sub.add_parser("rules", parents=[common], help="print the initial rewrite system")
+    sp.set_defaults(run=_cmd_rules)
 
-    sp = sub.add_parser("rules", help="print the initial rewrite system")
-    _add_common(sp, _cmd_rules)
+    sp = sub.add_parser("complete", parents=[common, limits],
+                        help="run completion and print the rule set")
+    sp.set_defaults(run=_cmd_complete)
 
-    sp = sub.add_parser("complete", help="run completion and print the rule set")
-    _add_common(sp, _cmd_complete)
-    _add_limits(sp)
-
-    sp = sub.add_parser("enumerate", help="complete, then catalogue the extension sets")
-    _add_common(sp, _cmd_enumerate)
-    _add_limits(sp)
+    sp = sub.add_parser("enumerate", parents=[common, limits],
+                        help="complete, then catalogue the extension sets")
+    sp.set_defaults(run=_cmd_enumerate)
     sp.add_argument("--limit", type=int, default=None,
                     help=f"enumeration limit (default {DEFAULT_LIMIT}, or $KANBEX_LIMIT)")
 
-    sp = sub.add_parser("reduce", help="print the normal form of a term")
-    _add_common(sp, _cmd_reduce)
-    _add_limits(sp)
+    sp = sub.add_parser("reduce", parents=[common, limits], help="print the normal form of a term")
+    sp.set_defaults(run=_cmd_reduce)
     sp.add_argument("--term", required=True, metavar="x*b1*b2",
                     help="term as *-separated labels, tag first")
 
-    sp = sub.add_parser("confluent", help="check local confluence of the initial system")
-    _add_common(sp, _cmd_confluent)
+    sp = sub.add_parser("confluent", parents=[common],
+                        help="check local confluence of the initial system")
+    sp.set_defaults(run=_cmd_confluent)
 
     sp = sub.add_parser("encode", help="translate a problem descriptor into a presentation")
     sp.add_argument("family", choices=list(ENCODE_FAMILIES))

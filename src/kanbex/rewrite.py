@@ -14,8 +14,11 @@ Newman's lemma makes the terminating reduction relation confluent.
 from __future__ import annotations
 
 import enum
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable
 
 from .model import (
@@ -412,14 +415,22 @@ def initial_rules(pres: KanPresentation, order: OrderSpec | None = None) -> Rewr
     return _system(idx, list(dict.fromkeys(r for r in rules if r is not None)))
 
 
-def _critical_pairs(idx: _RuleIndex, old: list[tuple], new: list[tuple]) -> list[tuple]:
+def _critical_pairs(idx: _RuleIndex, old: list[tuple], new: list[tuple], x_rank,
+                    guests: tuple[dict, dict]) -> list[list]:
     """The critical pairs of the ranked rules ``old + new`` that involve a
     rule of ``new``, read off ``idx``, which holds them all: those of each
     rule of ``new`` as host with every rule, and of each rule of ``old``
-    with every rule of ``new``.  A ranked rule is ``(rank, coded rule)``;
-    a pair is ``(case, (i, j), position, left, right)`` with coded sides,
-    host rule ``i`` first and ``i``, ``j`` ranks, the position being a
-    containment's start or an end overlap's length.
+    with every rule of ``new``.  A ranked rule is ``(rank, coded rule)``,
+    a rank being ``(kind, position)``.  ``guests`` are the tables of the
+    rules of ``old``, ``(ends, inner)``: by the id of a node, the rules
+    whose lhs ends there and the path rules whose lhs passes it; the lhs
+    of each rule of ``new`` is walked into them once.  A pair is a flat
+    list, ``[*key, *i, *j, case, position, left, right, -1]``: ``key`` is
+    ``word_key`` of its larger side under ``x_rank``, ``i`` and ``j`` the
+    ranks of its rules, host first, the position a containment's start
+    or an end overlap's length, the sides coded and -1 the pair's read
+    stamp (see ``complete``).  It sorts as the nested tuple would, but
+    faster.
 
     Containments: a host's lhs is read through the automaton, and an lhs
     of length n that ends at position k is on the output chain of the
@@ -432,22 +443,28 @@ def _critical_pairs(idx: _RuleIndex, old: list[tuple], new: list[tuple]) -> list
     and never ends an overlap; no rule is contained in itself."""
     out = []
     root = idx.root
-    for hosts, guests in ((new, old + new), (old, new)):
-        ends: dict[int, list] = {}  # id of a node -> the guests whose lhs ends there
-        inner: dict[int, list] = {}  # id of a node -> the path guests whose lhs passes it
-        for guest in guests:
-            word = guest[1][1]
-            path = not _is_term(word)
-            node = root
-            for c in word:
-                if node[3] and path:
-                    inner.setdefault(id(node), []).append(guest)
-                node = node[1][c]
-            ends.setdefault(id(node), []).append(guest)
+    fresh: tuple[dict, dict] = ({}, {})
+    ends, inner = fresh
+    for guest in new:
+        word = guest[1][1]
+        path = not _is_term(word)
+        node = root
+        for c in word:
+            if node[3] and path:
+                inner.setdefault(id(node), []).append(guest)
+            node = node[1][c]
+        ends.setdefault(id(node), []).append(guest)
+    for table, more in zip(guests, fresh):
+        for key, found in more.items():
+            table.setdefault(key, []).extend(found)
+    # the old hosts meet the new guests, the new hosts every guest
+    for hosts, (ends, inner) in ((old, fresh), (new, guests)):
         anywhere = ends.get(id(root), ())
         for i, (ls, li, rs, ri) in hosts:
             host_term = _is_term(li)
             ni = len(li)
+            # the host's rhs is a side of each of its containments
+            host = word_key(ri, x_rank)
             # a path lhs lies right of a term's tag
             found = [(pos, g) for g in anywhere for pos in range(1 if host_term else 0, ni + 1)]
             s = root
@@ -455,23 +472,37 @@ def _critical_pairs(idx: _RuleIndex, old: list[tuple], new: list[tuple]) -> list
                 s = s[2].get(c) or _goto(s, c)
                 m = s[5]
                 while m is not None:
-                    found += [(k - m[3], g) for g in ends.get(id(m), ())]
+                    there = ends.get(id(m))
+                    if there:
+                        found += [(k - m[3], g) for g in there]
                     m = m[4][5]
             for pos, (j, (_, lj, rsj, rj)) in found:
                 if j == i:
                     continue
                 if _is_term(lj):
-                    out.append(("i", (i, j), pos, (rsj, rj + li[len(lj):]), (rs, ri)))
+                    other = (rsj, rj + li[len(lj):])
+                    out.append([*max(word_key(other[1], x_rank), host), *i, *j, "i", pos,
+                                other, (rs, ri), -1])
                 else:
-                    out.append(("v" if host_term else "ii", (i, j), pos, (rs, ri),
-                                (ls, li[:pos] + rj + li[pos + len(lj):])))
+                    other = (ls, li[:pos] + rj + li[pos + len(lj):])
+                    out.append([*max(word_key(other[1], x_rank), host), *i, *j,
+                                "v" if host_term else "ii", pos, (rs, ri), other, -1])
             while s[3]:
                 s = s[4]
                 o = s[3]
                 for j, (_, lj, _, rj) in inner.get(id(s), ()):
-                    out.append(("iv" if host_term else "iii", (i, j), o,
-                                (rs, ri + lj[o:]), (ls, li[:ni - o] + rj)))
+                    left, right = ri + lj[o:], li[:ni - o] + rj
+                    out.append([*max(word_key(left, x_rank), word_key(right, x_rank)), *i, *j,
+                                "iv" if host_term else "iii", o, (rs, left), (ls, right), -1])
     return out
+
+
+def _all_pairs(idx: _RuleIndex) -> list[list]:
+    """Every critical pair of the rules of ``idx``, a rule ranked
+    ``(0, its position in idx.rules)``.  The keys are not read: every
+    tag ranks 0."""
+    return _critical_pairs(idx, [], [((0, k), r) for k, r in enumerate(idx.rules)],
+                           defaultdict(int), ({}, {}))
 
 
 def find_critical_pairs(system: RewriteSystem) -> list[CriticalPair]:
@@ -481,11 +512,12 @@ def find_critical_pairs(system: RewriteSystem) -> list[CriticalPair]:
     overlap, a suffix of the host's lhs that is a prefix of the other's,
     by length."""
     idx = system._index
-    pairs = _critical_pairs(idx, [], list(enumerate(idx.rules)))
-    # containments ("i", "ii", "v") before end overlaps ("iii", "iv")
-    pairs.sort(key=lambda cp: (cp[1], cp[0] in ("iii", "iv"), cp[2]))
-    return [CriticalPair(idx.decode(*left), idx.decode(*right), case, rules)
-            for case, rules, _, left, right in pairs]
+    pairs = _all_pairs(idx)
+    # by rules, containments ("i", "ii", "v") before end overlaps ("iii",
+    # "iv"), then by position
+    pairs.sort(key=lambda p: (p[-8], p[-6], p[-5] in ("iii", "iv"), p[-4]))
+    return [CriticalPair(idx.decode(*p[-3]), idx.decode(*p[-2]), p[-5], (p[-8], p[-6]))
+            for p in pairs]
 
 
 def resolves(cp: CriticalPair, system: RewriteSystem) -> bool:
@@ -502,7 +534,7 @@ def check_confluence(system: RewriteSystem) -> bool:
     full check always runs, even on a system that carries its proof
     (``RewriteSystem.confluent``, set by ``complete``)."""
     idx = system._index
-    for *_, left, right in _critical_pairs(idx, [], list(enumerate(idx.rules))):
+    for *_, left, right, _ in _all_pairs(idx):
         reduce = _reduce_term if _is_term(left[1]) else _reduce_path
         if reduce(left, idx) != reduce(right, idx):
             return False
@@ -541,9 +573,11 @@ def complete(
     a side is reduced once per rule set that can reach it, and a pair
     that resolved is read again only after a rule that can reach its
     longer side went in.  Each pair is built once, in the pass after its
-    newer rule went in, and carried to later passes in the sorted list
-    they go through.  The loop ends when a pass adds nothing; the result
-    is then interreduced (by default) so printed systems are canonical.
+    newer rule went in, and carried to later passes in sorted runs, one
+    per kind and length of the longer side; a run that no rule added
+    since its last read can reach is passed over whole.  The loop ends
+    when a pass adds nothing; the result is then interreduced (by
+    default) so printed systems are canonical.
     A COMPLETE result's system, raw or interreduced, carries its proof:
     its ``confluent`` reads True without checking the pairs again.
     Limits turn runaway completions into a status, not an error;
@@ -561,13 +595,17 @@ def complete(
     # a rule's rank, (kind, position within its kind), stays put when term
     # rules are added; ``counts`` holds each kind's count.  ``ranked`` holds
     # the rules with their ranks in ``idx.rules``' order, those from
-    # ``start`` on added since the last pass began, and ``pairs`` the
-    # sorted pairs of the rules before ``start``
+    # ``start`` on added since the last pass began, and ``guests`` the
+    # guest tables of those before ``start`` (see ``_critical_pairs``).
+    # ``runs`` holds the pairs of the rules before ``start``, sorted, in one
+    # run per (kind, length of the longer side), the prefix of their sort
+    # key; a run is ``[stamp, pairs]`` (see ``changed``)
     counts = [len(system.term_rules), len(system.path_rules)]
     ranked = [((0, k), r) if k < counts[0] else ((1, k - counts[0]), r)
               for k, r in enumerate(idx.rules)]
     start = 0
-    pairs: list[tuple] = []
+    guests: tuple[dict, dict] = ({}, {})
+    runs: dict[tuple, list] = {}
     passes = 0
     # a reduction depends only on the side and the rules that can reach
     # it.  Every rule is oriented by ``word_key``, which puts the longer
@@ -608,41 +646,49 @@ def complete(
         if passes >= max_passes:
             return stop(f"pass limit {max_passes} reached")
         passes += 1
-        # each pair is built once: those of the new rules are keyed and
-        # merged into the carried ones, and all are read by larger side.
-        # A pair is a flat list, ``[*key, *i, *j, case, position, left,
-        # right, read]``: it sorts as the nested tuple would, but faster.
-        # ``read`` is the rule count at its last read, -1 before the first
-        pairs += [[*max(word_key(left[1], x_rank), word_key(right[1], x_rank)), ki, pi, kj, pj,
-                   case, pos, left, right, -1] for case, ((ki, pi), (kj, pj)), pos, left, right
-                  in _critical_pairs(idx, ranked[:start], ranked[start:])]
-        pairs.sort()
+        # each pair is built once, in the pass after its newer rule went
+        # in, and merged into its run; the runs are read in key order
+        new = _critical_pairs(idx, ranked[:start], ranked[start:], x_rank, guests)
+        new.sort()
         start = len(ranked)
-        for record in pairs:
-            # ``record[1]`` is the longer side's length
-            if changed[min(record[1], len(changed) - 1)] <= record[-1]:
+        for key, group in groupby(new, itemgetter(0, 1)):
+            run = runs.setdefault(key, [-1, []])
+            run[0] = -1
+            run[1] += group
+            run[1].sort()
+        for (_, longest), run in sorted(runs.items()):
+            # a run's stamp is ``changed`` at its length when a read of
+            # the whole run added no rule that reaches it, else -1: while
+            # ``changed`` there stays put, each of its pairs is skipped
+            since = first = changed[min(longest, len(changed) - 1)]
+            if run[0] >= since:
                 continue
-            left, right = record[-3], record[-2]
-            record[-1] = len(idx.rules)
-            term = _is_term(left[1])
-            reduce = _reduce_term if term else _reduce_path
-            rule = _oriented(normal_form(left, reduce), normal_form(right, reduce), x_rank)
-            if rule is None:
-                continue
-            if max_rule_length is not None and len(rule[1]) > max_rule_length:
-                return stop(f"rule length limit {max_rule_length} exceeded")
-            kind = 0 if term else 1
-            ranked.append(((kind, counts[kind]), rule))
-            counts[kind] += 1
-            idx.add(rule)
-            lhs = len(rule[1])
-            changed += changed[-1:] * (lhs - len(changed))
-            changed[lhs:] = [len(idx.rules)] * max(len(changed) - lhs, 1)
-            for length in [n for n in memo if n >= lhs]:
-                del memo[length]
-            forms.clear()
-            if len(idx.rules) > max_rules:
-                return stop(f"rule limit {max_rules} exceeded")
+            for record in run[1]:
+                if since <= record[-1]:
+                    continue
+                left, right = record[-3], record[-2]
+                record[-1] = len(idx.rules)
+                term = record[0]  # word_key leads with 1 for a term, 0 for a path
+                reduce = _reduce_term if term else _reduce_path
+                rule = _oriented(normal_form(left, reduce), normal_form(right, reduce), x_rank)
+                if rule is None:
+                    continue
+                if max_rule_length is not None and len(rule[1]) > max_rule_length:
+                    return stop(f"rule length limit {max_rule_length} exceeded")
+                kind = 0 if term else 1
+                ranked.append(((kind, counts[kind]), rule))
+                counts[kind] += 1
+                idx.add(rule)
+                lhs = len(rule[1])
+                changed += changed[-1:] * (lhs - len(changed))
+                changed[lhs:] = [len(idx.rules)] * max(len(changed) - lhs, 1)
+                for length in [n for n in memo if n >= lhs]:
+                    del memo[length]
+                forms.clear()
+                if len(idx.rules) > max_rules:
+                    return stop(f"rule limit {max_rules} exceeded")
+                since = changed[min(longest, len(changed) - 1)]
+            run[0] = since if since == first else -1
         if start == len(ranked):
             break
 

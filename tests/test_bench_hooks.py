@@ -34,6 +34,7 @@ from kanbex import (
 from kanbex.encodings import encode_from_json
 from kanbex.ordering import word_key
 
+from . import test_random_completion as random_corpus
 from .conftest import DATA, REPO, VON_DYCK, coxeter
 from .oracles import sliced_critical_pairs
 from .test_cli import BUNDLED
@@ -269,9 +270,9 @@ def test_complete_reduces_each_side_once_per_rule_set(monkeypatch):
     events = []
     critical_pairs, oriented, add = rewrite._critical_pairs, rewrite._oriented, rewrite._RuleIndex.add
 
-    def logged_pairs(idx, old, new):
+    def logged_pairs(idx, old, new, *rest):
         events.append(("pass", old + new))
-        return critical_pairs(idx, old, new)
+        return critical_pairs(idx, old, new, *rest)
 
     def logged_oriented(*args):
         events.append(("pair",))
@@ -349,11 +350,11 @@ def test_each_pass_reads_the_sorted_pairs_of_its_rules(monkeypatch):
         assert pair is None
         resolve(skipped)
 
-    def logged_pairs(idx, old, new):
+    def logged_pairs(idx, old, new, *rest):
         run["idx"] = idx
         end_pass()
         run["reads"].start(old + new, order.x_rank)
-        found = critical_pairs(idx, old, new)
+        found = critical_pairs(idx, old, new, *rest)
         run.update(passes=run["passes"] + 1, built=run["built"] + len(found))
         return found
 
@@ -487,6 +488,94 @@ def test_complete_reads_only_the_pairs_a_new_rule_can_reach(monkeypatch):
             result = complete(system, order, interreduce_after=False, **limits)
         got[name] = (len(calls), result.passes, result.rules_added)
     assert got == PAIRS_READ
+
+
+def _completions():
+    """Systems to complete, with their orders and limits: S5, von Dyck at
+    9 passes, the bundled problems, the hand-built systems and the random
+    corpus of seed 1 in declared and shuffled order."""
+    problems = [(from_monoid_presentation(S5), {}),
+                (from_monoid_presentation(VON_DYCK), {"max_passes": 9})]
+    problems += [(_bundled(family, name), {}) for family, name in BUNDLED]
+    for pres, limits in problems:
+        order = OrderSpec.from_presentation(pres)
+        yield initial_rules(pres, order), order, limits
+    hand_order = OrderSpec({"x": 0, "y": 1, "z": 2}, {"a": 0, "b": 1, "c": 2})
+    for system in HAND_BUILT.values():
+        yield system, hand_order, {}
+    for shuffled in (False, True):
+        for _, pres, order in random_corpus._draws(1, shuffled):
+            yield initial_rules(pres, order), order, random_corpus.LIMITS
+
+
+# the kinds of a pair's host and guest rules by its case, 0 for a term
+# rule and 1 for a path rule
+KINDS = {"i": (0, 0), "ii": (1, 1), "iii": (1, 1), "iv": (0, 1), "v": (0, 1)}
+
+
+def test_each_pair_is_keyed_by_its_larger_side(monkeypatch):
+    # complete sorts the records that _critical_pairs builds as they come:
+    # each is word_key of its larger side, the ranks of its rules, its
+    # case, position and sides, and -1 for a pair not yet read
+    critical_pairs = rewrite._critical_pairs
+    records = []
+
+    def logged_pairs(idx, old, new, *rest):
+        found = critical_pairs(idx, old, new, *rest)
+        # as built: complete stamps a record when it reads it
+        records.extend(list(record) for record in found)
+        return found
+
+    monkeypatch.setattr(rewrite, "_critical_pairs", logged_pairs)
+    for system, order, limits in _completions():
+        records.clear()
+        complete(system, order, interreduce_after=False, **limits)
+        for record in records:
+            *key, ki, pi, kj, pj, case, pos, left, right, read = record
+            assert key == [*max(word_key(left[1], order.x_rank), word_key(right[1], order.x_rank))]
+            assert (ki, kj) == KINDS[case]
+            assert rewrite._is_term(left[1]) == rewrite._is_term(right[1]) == (ki == 0)
+            assert isinstance(pos, int) and read == -1
+
+
+def test_each_lhs_is_walked_into_the_guest_tables_once(monkeypatch):
+    # each pass walks the lhs of every rule it has through the automaton
+    # as a host, and the guest tables are kept across passes: the lhs of a
+    # rule is walked as a guest once per completion.  Every lhs word is a
+    # tuple that counts how often it is iterated while _critical_pairs runs
+    walks, passes, running = Counter(), Counter(), []
+
+    class Walked(tuple):
+        def __iter__(self):
+            if running:
+                walks[id(self)] += 1
+            return super().__iter__()
+
+    def walked(rule):
+        return None if rule is None else (rule[0], Walked(rule[1]), *rule[2:])
+
+    code, oriented = rewrite._RuleIndex.code, rewrite._oriented
+    critical_pairs = rewrite._critical_pairs
+
+    def logged_pairs(idx, old, new, *rest):
+        passes.update(id(rule[1]) for _, rule in old + new)
+        running.append(True)
+        try:
+            return critical_pairs(idx, old, new, *rest)
+        finally:
+            running.pop()
+
+    # the systems are built first: initial_rules orients with _oriented
+    problems = list(_completions())
+    monkeypatch.setattr(rewrite._RuleIndex, "code", lambda self, rule: walked(code(self, rule)))
+    monkeypatch.setattr(rewrite, "_oriented", lambda *args: walked(oriented(*args)))
+    monkeypatch.setattr(rewrite, "_critical_pairs", logged_pairs)
+    for system, order, limits in problems:
+        walks.clear()
+        passes.clear()
+        complete(system, order, interreduce_after=False, **limits)
+        # once as a host in each pass it is in, once as a guest
+        assert walks == {rule: n + 1 for rule, n in passes.items()}
 
 
 def test_no_catalogue_builds_terms(monkeypatch, capsys, tmp_path):

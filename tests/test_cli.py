@@ -410,6 +410,30 @@ def test_one_parser_serves_every_call_in_a_process(capsys, data_dir):
     assert helps[0] == helps[1] and "--limit LIMIT" in helps[0].out
 
 
+# sha256 of the top-level --help and each command's, 80 columns wide,
+# recorded on CPython 3.11 before the commands shared their options
+HELP_DIGESTS = {
+    "kanbex": "f333ef895cadc3e96257a09caac04b73e0fb15f52880634b307ff93cdf4de0cb",
+    "rules": "4c64563bf2d0f4ecc181f49a409cdb1dea8a8037b94b711c50dab9bf5a163e60",
+    "complete": "708cde5cff110925947da9e0f13c122e2de934e1f6feb0adcb41d8ed574601dd",
+    "enumerate": "6150d788971b29ce0e69a09cb521fc283fe8ea693251e11f549e51fc03268a2d",
+    "reduce": "657e314302e601316106c9bfaf15600c5c12245344c0e4888ffafc081896495e",
+    "confluent": "ba87fcd294a1865090112807318f526b6846101c3b4e31093cae5a9b216a2aca",
+    "encode": "b405e943c770897feca01f0052ad447134f9ada698561a9cb36ecc98b381d414",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse lays help out differently in other Python versions")
+@pytest.mark.parametrize("command", HELP_DIGESTS)
+def test_help_texts_match_recorded_digests(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        main(([] if command == "kanbex" else [command]) + ["--help"])
+    assert stop.value.code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == HELP_DIGESTS[command]
+
+
 def test_json_format_round_trips(capsys, data_dir):
     code, out, _ = run_cli(capsys, "complete", "--format", "json",
                            str(data_dir / "infinite_extension.json"))
@@ -477,6 +501,50 @@ def test_ctrl_c_while_loading_the_cli_exits_2():
     proc = subprocess.run([sys.executable, "-c", INTERRUPTED_IMPORT, "--help"],
                           capture_output=True, env=env, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", b"kanbex: interrupted\n")
+
+
+def test_ctrl_c_while_loading_the_engine_exits_2():
+    # the package loads the engine's modules on first use, so their import
+    # falls inside __main__'s handler too
+    script = INTERRUPTED_IMPORT.replace('"kanbex.cli"', '"kanbex.model"')
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-c", script, "--help"],
+                          capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", b"kanbex: interrupted\n")
+
+
+# the package's public names, as its eager imports gave them
+PUBLIC_NAMES = [
+    "ActionDesc", "Arrow", "CompletionResult", "CompletionStatus", "CompositionError",
+    "CosetSystemDesc", "CriticalPair", "DEFAULT_LIMIT", "EnumerationStatus", "EpsRule", "KRule",
+    "KanPresentation", "KanTables", "MonoidPresentationDesc", "OrderSpec", "Path",
+    "PresentationError", "RewriteSystem", "Term", "ValidationReport", "act", "check_confluence",
+    "complete", "compose_paths", "conjugation_action", "encode_from_json", "encodings",
+    "enumerate_extension", "epsilon", "find_critical_pairs", "format_path", "format_rule",
+    "format_system", "format_term", "from_action_orbits", "from_category_presentation",
+    "from_colimit_diagram", "from_coset_system", "from_group_morphism", "from_monoid_presentation",
+    "from_relation_quotient", "from_right_congruence", "initial_rules", "interreduce", "kan",
+    "list_as_term", "load_presentation", "model", "naturality_check", "ordering",
+    "parse_presentation", "presentation_from_json", "presentation_to_json", "reduce_path",
+    "reduce_term", "resolves", "rewrite", "tau_bar", "term_as_list", "validate_presentation",
+]
+
+LAZY_IMPORT = """
+import sys
+import kanbex
+print(sorted(name for name in sys.modules if name.startswith("kanbex")))
+names = {}
+exec("from kanbex import *", names)
+print(sorted(name for name in names if name != "__builtins__"))
+print(kanbex.complete is sys.modules["kanbex.rewrite"].complete)
+"""
+
+
+def test_the_package_loads_its_names_on_first_use():
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-c", LAZY_IMPORT], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert proc.stdout.splitlines() == [str(["kanbex"]), str(PUBLIC_NAMES), "True"]
 
 
 COSETS_CSQ_ENUMERATION = {
