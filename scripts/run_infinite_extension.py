@@ -20,7 +20,6 @@ from kanbex import (
     initial_rules,
     list_as_term,
     load_presentation,
-    tau_bar,
 )
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
@@ -49,7 +48,7 @@ def main():
     b3 = Path(3, (pres.arrow_by_label["b3"],))
     moved = act(element, b3, result.system)
     print(f"\nacting on {format_term(element)} by b3 gives "
-          f"{format_term(moved)} over object {tau_bar(moved)}")
+          f"{format_term(moved)} over object {moved.target}")
 
 
 if __name__ == "__main__":

@@ -21,10 +21,9 @@ _NAMES = {
     "ordering": ("OrderSpec",),
     "rewrite": ("CompletionResult", "CompletionStatus", "CriticalPair", "EpsRule", "KRule",
                 "RewriteSystem", "check_confluence", "complete", "find_critical_pairs",
-                "format_rule", "format_system", "initial_rules", "interreduce", "reduce_path",
-                "reduce_term", "resolves"),
+                "format_rule", "format_system", "initial_rules", "interreduce", "reduce_term"),
     "kan": ("DEFAULT_LIMIT", "EnumerationStatus", "KanTables", "act", "enumerate_extension",
-            "epsilon", "naturality_check", "tau_bar"),
+            "epsilon", "naturality_check"),
     "encodings": ("ActionDesc", "CosetSystemDesc", "MonoidPresentationDesc", "conjugation_action",
                   "encode_from_json", "from_action_orbits", "from_category_presentation",
                   "from_colimit_diagram", "from_coset_system", "from_group_morphism",

@@ -37,7 +37,7 @@ from .model import (
     validate_presentation,
 )
 from .ordering import OrderSpec
-from .rewrite import complete, initial_rules, reduce_path
+from .rewrite import complete, initial_rules, reduce_term
 
 Word = tuple[str, ...]
 
@@ -277,7 +277,7 @@ def conjugation_action(
     system = result.system
 
     def nf(word: Word) -> Path:
-        return reduce_path(word_path(word, "word"), system)
+        return reduce_term(word_path(word, "word"), system)
 
     element_nfs = [nf(w) for w in elements]
     if len(set(element_nfs)) != len(element_nfs):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
-from .model import Arrow, CompositionError, KanPresentation, Path, Term
+from .model import Arrow, KanPresentation, Path, Term
 from .ordering import OrderSpec
 from .rewrite import RewriteSystem, _proven, _step, check_confluence, reduce_term
 
@@ -225,18 +225,8 @@ def enumerate_extension(
     )
 
 
-def tau_bar(nf: Term) -> int:
-    """Target object of a normal form (its path's source when identity)."""
-    return nf.target
-
-
 def act(nf: Term, q: Path, system: RewriteSystem) -> Term:
     """Right action: append the path, then reduce."""
-    if q.source != nf.target:
-        raise CompositionError(
-            f"action source mismatch: element sits over {nf.target}, "
-            f"path starts at {q.source}"
-        )
     return reduce_term(nf.act(q), system)
 
 

@@ -150,10 +150,6 @@ class KanPresentation:
     def ob_a_index(self) -> dict[int, int]:
         return {o: i for i, o in enumerate(self.ob_a)}
 
-    @cached_property
-    def ob_b_index(self) -> dict[int, int]:
-        return {o: i for i, o in enumerate(self.ob_b)}
-
     def tag_source(self, x: str) -> int:
         """Source object (in the extending graph) of every path tagged by x."""
         i = self.x_owner_index.get(x)
@@ -225,7 +221,7 @@ def list_as_term(items: Sequence[str], pres: KanPresentation) -> Term:
 
 def _check_path(p: Path, pres: KanPresentation, where: str, out: list[str]) -> None:
     by_label = pres.arrow_by_label
-    if not p.arrows and p.source not in pres.ob_b_index:
+    if not p.arrows and p.source not in pres.ob_b:
         out.append(f"{where}: identity path at unknown object {p.source}")
     prev_tgt = None
     for a in p.arrows:

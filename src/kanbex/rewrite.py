@@ -86,12 +86,13 @@ class _RuleIndex:
     ``delta`` holds the children and memoises other transitions on first
     use (see ``_goto``).  Each ``add``, those of the rules the index is
     built from included, updates the links in place (see ``_attach``),
-    so no memo is ever dropped.  ``interreduce`` clears the ``rhs`` of the rule it
-    reduces, and keeps it cleared when it deletes the last rule with that
-    left-hand side; a reduction skips a cleared terminal, which may stay
-    on the output chains.  The critical pairs of the rules are
-    read off the same automaton (``_critical_pairs``): the output chains give
-    the containments, the failure chains the end overlaps.
+    so no memo is ever dropped.  ``interreduce`` clears the ``rhs`` of the
+    rule it reduces, and keeps it cleared when it deletes the last rule
+    with that left-hand side; it resets the output links each time it
+    clears or restores one, so ``out`` is always a live terminal.  The
+    critical pairs of the rules are read off the same automaton
+    (``_critical_pairs``): the output chains give the containments, the
+    failure chains the end overlaps.
     Insertion never overwrites an ``rhs``, so the first-added rule wins
     for a given left-hand side.  A system's cached index is shared; only
     ``_goto``'s memo changes it.  Only ``complete`` and ``interreduce``
@@ -240,8 +241,7 @@ def _step(state: list, code) -> list | None:
     """The state after reading ``code`` in ``state``, or None when that
     state has an output.  Stepping from the state of a word no rule
     reduces, None says that the word with ``code`` appended is reducible:
-    a match in it ends at the new letter, and a system's index holds a
-    right-hand side at every terminal."""
+    a match in it ends at the new letter."""
     state = _goto(state, code)
     return None if state[5] is not None else state
 
@@ -277,11 +277,7 @@ def _rewrite(side: tuple, idx: _RuleIndex) -> tuple[int, tuple]:
             states[k] = s
             m = s[5]
             if m is not None:
-                # past the terminals that ``interreduce`` cleared
-                while m is not None and m[0] is None:
-                    m = m[4][5]
-                if m is not None:
-                    break
+                break
         else:
             return source, tuple(word)
         best, end, rhs = k - m[3], k, m[0]
@@ -294,11 +290,8 @@ def _rewrite(side: tuple, idx: _RuleIndex) -> tuple[int, tuple]:
             k += 1
             states[k] = s
             m = s[5]
-            if m is not None:
-                while m is not None and m[0] is None:
-                    m = m[4][5]
-                if m is not None and k - m[3] < best:
-                    best, end, rhs = k - m[3], k, m[0]
+            if m is not None and k - m[3] < best:
+                best, end, rhs = k - m[3], k, m[0]
         if not best:
             source = rhs[0]
         word[best:end] = rhs[1]
@@ -384,9 +377,6 @@ def reduce_term(x: Term | Path, system: RewriteSystem) -> Term | Path:
     lies in a word without a tag.  Requires an oriented system."""
     idx = system._index
     return idx.decode(*_reduce_term(idx.encode(x), idx))
-
-
-reduce_path = reduce_term
 
 
 def initial_rules(pres: KanPresentation, order: OrderSpec | None = None) -> RewriteSystem:
@@ -518,13 +508,6 @@ def find_critical_pairs(system: RewriteSystem) -> list[CriticalPair]:
     pairs.sort(key=lambda p: (p[-8], p[-6], p[-5] in ("iii", "iv"), p[-4]))
     return [CriticalPair(idx.decode(*p[-3]), idx.decode(*p[-2]), p[-5], (p[-8], p[-6]))
             for p in pairs]
-
-
-def resolves(cp: CriticalPair, system: RewriteSystem) -> bool:
-    """A pair resolves when both sides reduce to the same object."""
-    idx = system._index
-    reduce = _reduce_term if isinstance(cp.left, Term) else _reduce_path
-    return reduce(idx.encode(cp.left), idx) == reduce(idx.encode(cp.right), idx)
 
 
 def check_confluence(system: RewriteSystem) -> bool:
@@ -725,14 +708,20 @@ def interreduce(system: RewriteSystem, order: OrderSpec) -> RewriteSystem:
         rule = rules[pos]
         twins = owners[rule[:2]]
         # reduce against the other rules: the node takes the next twin's
-        # rhs, if any; the rhs and its reducts are smaller than the lhs,
-        # so never contain it
+        # rhs, if any, or is cleared and leaves the output chains (the root
+        # is never an output); the rhs and its reducts are smaller than the
+        # lhs, so never contain it
         node = idx.node(rule[1])
+        cleared = len(twins) == 1 and node[3]
         node[0] = twins[1][2:] if len(twins) > 1 else None
+        if cleared:
+            _outputs(node)
         reduce = _reduce_term if _is_term(rule[1]) else _reduce_path
         lhs, rhs = reduce(rule[:2], idx), reduce(rule[2:], idx)
         if lhs + rhs == rule:
             node[0] = rule[2:]
+            if cleared:
+                _outputs(node)
             pos += 1
             continue
         del rules[pos]

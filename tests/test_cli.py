@@ -525,8 +525,8 @@ PUBLIC_NAMES = [
     "from_colimit_diagram", "from_coset_system", "from_group_morphism", "from_monoid_presentation",
     "from_relation_quotient", "from_right_congruence", "initial_rules", "interreduce", "kan",
     "list_as_term", "load_presentation", "model", "naturality_check", "ordering",
-    "parse_presentation", "presentation_from_json", "presentation_to_json", "reduce_path",
-    "reduce_term", "resolves", "rewrite", "tau_bar", "term_as_list", "validate_presentation",
+    "parse_presentation", "presentation_from_json", "presentation_to_json", "reduce_term",
+    "rewrite", "term_as_list", "validate_presentation",
 ]
 
 LAZY_IMPORT = """

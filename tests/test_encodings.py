@@ -342,7 +342,7 @@ def test_conjugation_action_matches_multiplication_table():
     # label l under g is label of nf(inv(g) l g)
     pres = from_monoid_presentation(QUATERNION)
     result = run(pres)
-    from kanbex import Path, reduce_path
+    from kanbex import Path, reduce_term
 
     by_label = pres.arrow_by_label
 
@@ -350,7 +350,7 @@ def test_conjugation_action_matches_multiplication_table():
         return Path(1, tuple(by_label[ch] for ch in w))
 
     def nf(w):
-        return reduce_path(word_path(w), result.system).labels
+        return reduce_term(word_path(w), result.system).labels
 
     label_of = {nf(w): lbl for w, lbl in zip(Q8_ELEMENTS, Q8_LABELS)}
     for g in "ab":

@@ -1,21 +1,24 @@
 """The rule automaton's links after every ``add``, against brute force.
 
 ``_RuleIndex.add`` updates the failure links, the output links and the
-memoised transitions in place.  The oracle here knows only the trie's
-key words: for every node it finds by suffix search the longest proper
-suffix in the trie, the longest suffix that carries a live right-hand
-side, and, for every memoised code, the longest suffix in the trie of
-the key with that code appended.  It is run after every ``add``, those
-that build an index included, that ``complete`` and ``interreduce`` make
-on the bundled problems, S5, Coxeter S4-S6, the von Dyck group at a pass
-budget and the random corpus.
+memoised transitions in place, and ``interreduce`` resets the output
+links when it clears or restores a right-hand side.  The oracle here
+knows only the trie's key words: for every node it finds by suffix
+search the longest proper suffix in the trie, the longest suffix that
+carries a live right-hand side, which must be the node's output link,
+and, for every memoised code, the longest suffix in the trie of the key
+with that code appended.  It is run after every ``add``, those that
+build an index included, that ``complete`` and ``interreduce`` make on
+the bundled problems, S5, Coxeter S4-S6, the von Dyck group at a pass
+budget and the random corpus, and on each index that ``interreduce``
+leaves.
 """
 
 import random
 
 import pytest
 
-from kanbex import OrderSpec, complete, from_monoid_presentation, initial_rules, interreduce, rewrite
+from kanbex import OrderSpec, complete, from_monoid_presentation, initial_rules, rewrite
 
 from .conftest import VON_DYCK, coxeter
 from .test_bench_hooks import _bundled
@@ -41,13 +44,6 @@ def _longest_suffix(keys: dict[tuple, list], word: tuple, start: int = 0) -> lis
     return next(keys[word[k:]] for k in range(start, len(word) + 1) if word[k:] in keys)
 
 
-def _first_live_output(node: list):
-    m = node[5]
-    while m is not None and m[0] is None:
-        m = m[4][5]
-    return m
-
-
 def check_links(idx) -> int:
     """Assert that every node's links are the brute-force ones; the number
     of nodes checked."""
@@ -56,7 +52,7 @@ def check_links(idx) -> int:
         if key:
             assert node[4] is _longest_suffix(keys, key, 1), key
             live = [keys[key[k:]] for k in range(len(key)) if keys.get(key[k:], [None])[0] is not None]
-            assert _first_live_output(node) is (live[0] if live else None), key
+            assert node[5] is (live[0] if live else None), key
         for c, nxt in node[2].items():
             assert nxt is _longest_suffix(keys, key + (c,)), (key, c)
         # the inverse failure links are exactly the nodes that fail here
@@ -66,17 +62,34 @@ def check_links(idx) -> int:
 
 @pytest.fixture
 def checked_adds(monkeypatch):
-    """Check the links after every ``_RuleIndex.add``; the number of adds
-    checked."""
-    add = rewrite._RuleIndex.add
-    seen = {"adds": 0, "nodes": 0}
+    """Check the links after every ``_RuleIndex.add`` and of the index of
+    each ``interreduce`` once it returns; the number of adds and of
+    interreductions checked."""
+    add, init = rewrite._RuleIndex.add, rewrite._RuleIndex.__init__
+    interreduce = rewrite.interreduce
+    seen = {"adds": 0, "nodes": 0, "interreduced": 0}
+    made = []
 
     def checked(self, rule):
         add(self, rule)
         seen["adds"] += 1
         seen["nodes"] += check_links(self)
 
+    def kept(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    def checked_interreduce(system, order):
+        del made[:]
+        result = interreduce(system, order)
+        # the first index made is the one interreduce edits
+        seen["nodes"] += check_links(made[0])
+        seen["interreduced"] += 1
+        return result
+
     monkeypatch.setattr(rewrite._RuleIndex, "add", checked)
+    monkeypatch.setattr(rewrite._RuleIndex, "__init__", kept)
+    monkeypatch.setattr(rewrite, "interreduce", checked_interreduce)
     return seen
 
 
@@ -96,6 +109,7 @@ def test_links_after_each_add_match_brute_force(checked_adds, name, pres, limits
     # complete adds to its index, then interreduce to its own
     result = complete(initial, order, **limits)
     assert checked_adds["adds"] >= result.rules_added
+    assert checked_adds["interreduced"] == result.complete
 
 
 def test_links_on_the_random_corpus_match_brute_force(checked_adds):
@@ -106,8 +120,9 @@ def test_links_on_the_random_corpus_match_brute_force(checked_adds):
         for shuffled in (False, True):
             for _, pres, order in _draws(seed, shuffled):
                 complete(initial_rules(pres, order), order, **LIMITS)
-                interreduce(random_system(rng, pres, order), order)
+                rewrite.interreduce(random_system(rng, pres, order), order)
     assert checked_adds["adds"] > 1000
+    assert checked_adds["interreduced"] > 1000
 
 
 def test_the_oracle_sees_a_stale_link():

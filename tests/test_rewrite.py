@@ -27,9 +27,7 @@ from kanbex import (
     initial_rules,
     interreduce,
     list_as_term,
-    reduce_path,
     reduce_term,
-    resolves,
 )
 from kanbex.encodings import CosetSystemDesc, encode_from_json, from_coset_system
 from kanbex.rewrite import _oriented, _RuleIndex
@@ -133,9 +131,9 @@ def test_reduce_result_is_irreducible_and_equivalent(demo_complete):
 
 
 def test_reduce_path_single_factor(demo_initial):
-    assert reduce_path(P("b1", "b2", "b3"), demo_initial) == P("b4")
-    assert reduce_path(Path.identity(1), demo_initial) == Path.identity(1)
-    assert reduce_path(P("b1", "b2", "b3", "b4"), demo_initial) == P("b4", "b4")
+    assert reduce_term(P("b1", "b2", "b3"), demo_initial) == P("b4")
+    assert reduce_term(Path.identity(1), demo_initial) == Path.identity(1)
+    assert reduce_term(P("b1", "b2", "b3", "b4"), demo_initial) == P("b4", "b4")
 
 
 # --- critical pairs ---
@@ -238,20 +236,13 @@ def test_overlap_oracle_agreement_random():
 
 # --- resolution ---
 
-def test_trivial_pair_resolves(demo_initial):
-    from kanbex.rewrite import CriticalPair
-
-    t = T("x1", "b4")
-    assert resolves(CriticalPair(t, t, "i", (0, 0)), demo_initial)
-
-
 def test_demo_overlap_needs_completion(demo_initial, demo_complete):
     pairs = find_critical_pairs(demo_initial)
     # the overlap of x1|b1 with b1b2b3 -> b4 yields (y1|b2b3, x1|b4)
     target = canonical_pair(T("y1", "b2", "b3"), T("x1", "b4"))
     (cp,) = [p for p in pairs if canonical_pair(p.left, p.right) == target]
-    assert not resolves(cp, demo_initial)
-    assert resolves(cp, demo_complete)
+    assert reduce_term(cp.left, demo_initial) != reduce_term(cp.right, demo_initial)
+    assert reduce_term(cp.left, demo_complete) == reduce_term(cp.right, demo_complete)
 
 
 # --- completion ---
@@ -372,7 +363,7 @@ TIE_BREAKS = [
 def test_reduction_tie_breaks(rules, word, expected):
     system = _loops_system(*rules)
     w = _loops_word(word)
-    got = reduce_term(w, system) if isinstance(w, Term) else reduce_path(w, system)
+    got = reduce_term(w, system)
     assert got == _loops_word(expected)
 
 
@@ -439,7 +430,7 @@ def test_reduction_follows_the_reference_strategy():
             path = _loops_word(letters) if letters else Path(1)
             term = Term(rng.choice("xy"), path)
             assert reduce_term(term, system) == reference_reduce(term, system)
-            assert reduce_path(path, system) == reference_reduce(path, system)
+            assert reduce_term(path, system) == reference_reduce(path, system)
     assert min(seen.values()) >= 15, seen
 
 
@@ -459,7 +450,7 @@ def test_long_words_reduce_by_the_reference_strategy():
         term = list_as_term(("e", *rng.choices(gens, k=rng.randint(40, 64))), pres)
         for word in (term, term.path):
             steps = list(reference_steps(word, system))
-            got = reduce_term(word, system) if isinstance(word, Term) else reduce_path(word, system)
+            got = reduce_term(word, system)
             assert got == steps[-1]
             rewrites.append(len(steps) - 1)
     assert sum(rewrites) / len(rewrites) >= 20, rewrites
