@@ -236,6 +236,15 @@ def test_overlap_oracle_agreement_random():
 
 # --- resolution ---
 
+def test_trivial_pair_resolves(demo_complete):
+    # after completion every critical pair is trivial: its two sides
+    # reduce to one normal form
+    pairs = find_critical_pairs(demo_complete)
+    assert pairs
+    for cp in pairs:
+        assert reduce_term(cp.left, demo_complete) == reduce_term(cp.right, demo_complete), cp
+
+
 def test_demo_overlap_needs_completion(demo_initial, demo_complete):
     pairs = find_critical_pairs(demo_initial)
     # the overlap of x1|b1 with b1b2b3 -> b4 yields (y1|b2b3, x1|b4)
