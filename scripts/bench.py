@@ -43,6 +43,14 @@ not only a comment, and no line of a docstring.  Both are taken on the
 copies the runs use.  ``src_files`` holds both counts per file and side
 (null on a side without the file), and the files whose counts differ
 are named on stderr with the change.
+
+``startup`` holds each side's start-up of the command line: the median
+and the fastest wall seconds of 20 fresh ``python -m kanbex --help``
+processes on its copy, after the workloads.  The sides take turns, and a
+first run per side, not counted, writes the bytecode that the counted
+runs read, whatever ``PYTHONDONTWRITEBYTECODE`` says: the start-up that
+an installed package sees, which the benchmark, run without bytecode,
+does not.  A side whose runs fail gets null.  It is not gated.
 """
 
 from __future__ import annotations
@@ -51,16 +59,19 @@ import argparse
 import ast
 import io
 import json
+import os
 import shutil
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+STARTUP_RUNS = 20
 
 
 def seed_list(text: str) -> list[int]:
@@ -154,6 +165,31 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 
     if proc.returncode != 0:
         return {"correct": False, "failed": None, "metrics": {}, "error": proc.stderr[-2000:]}
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def cli_seconds(tree: Path) -> float | None:
+    """Wall seconds of one ``python -m kanbex --help`` on ``tree``, writing
+    and reading bytecode; None if it fails."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPATH"] = str(tree / "src")
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "kanbex", "--help"], cwd=tree, env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    seconds = time.perf_counter() - start
+    return seconds if proc.returncode == 0 else None
+
+
+def startup(trees: dict[str, Path], runs: int = STARTUP_RUNS) -> dict:
+    """Per side, the median and the fastest of ``runs`` start-ups, the sides
+    taking turns, after one that writes the bytecode; null if one fails."""
+    times: dict[str, list] = {side: [] for side in trees}
+    sides = list(trees)
+    for k in range(runs + 1):
+        for side in sides if k % 2 == 0 else sides[::-1]:
+            times[side].append(cli_seconds(trees[side]))
+    return {side: None if None in ts else
+            {"median": statistics.median(ts[1:]), "min": min(ts[1:]), "runs": ts[1:]}
+            for side, ts in times.items()}
 
 
 def summary(values: list[float]) -> dict:
@@ -262,6 +298,7 @@ def main(argv=None) -> int:
                          for side, rs in runs.items()},
                 "layers": traced,
             }
+        out["startup"] = startup({"base": base_tree, "change": change_tree})
     args.output.write_text(json.dumps(out, indent=2) + "\n", encoding="utf-8")
     return 0
 

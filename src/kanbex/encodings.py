@@ -15,7 +15,6 @@ silently added.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .model import (
@@ -23,6 +22,7 @@ from .model import (
     KanPresentation,
     Path,
     PresentationError,
+    Record,
     _entries,
     _ints,
     _is_int,
@@ -42,24 +42,21 @@ from .rewrite import complete, initial_rules, reduce_term
 Word = tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class MonoidPresentationDesc:
+class MonoidPresentationDesc(Record):
     """Generators and defining relations (pairs of words; () is the empty word)."""
 
     generators: tuple[str, ...]
     relations: tuple[tuple[Word, Word], ...] = ()
 
 
-@dataclass(frozen=True)
-class CosetSystemDesc:
+class CosetSystemDesc(Record):
     group_generators: tuple[str, ...]
     group_relations: tuple[tuple[Word, Word], ...]
     subgroup_words: tuple[Word, ...]
     side: str = "right"
 
 
-@dataclass(frozen=True, eq=False)
-class ActionDesc:
+class ActionDesc(Record, eq=False):
     """A monoid acting on a finite point set.
 
     ``action`` maps each generator to the image list, parallel to

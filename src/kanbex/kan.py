@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
-from .model import Arrow, KanPresentation, Path, Term
+from .model import Arrow, KanPresentation, Path, Record, Term
 from .ordering import OrderSpec
 from .rewrite import RewriteSystem, _proven, _step, check_confluence, reduce_term
 
@@ -44,8 +43,7 @@ class EnumerationStatus(enum.Enum):
     LIMIT_EXCEEDED = "LimitExceeded"
 
 
-@dataclass(frozen=True)
-class KanTables:
+class KanTables(Record):
     """Catalogue of normal forms, the terms irreducible with respect to the
     complete system, as a prefix forest.
 

@@ -15,8 +15,8 @@ are safe to share across threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 
@@ -28,8 +28,72 @@ class CompositionError(ValueError):
     """Paths (or a term and a path) fail to compose end to end."""
 
 
-@dataclass(frozen=True)
-class Arrow:
+# a record's own __setattr__ refuses every assignment
+_setattr = object.__setattr__
+
+
+class Record:
+    """Base of the immutable value classes, built without generated code.
+
+    A subclass's fields are its annotated names, in order, and a field
+    with a class-level value defaults to it.  Records build, compare,
+    hash and print as frozen dataclasses do: they are equal when of one
+    class with equal fields, and hash as the tuple of their fields.  The
+    class keyword ``eq=False`` keeps identity equality.  Instances keep a
+    ``__dict__``, so ``cached_property`` works on them; no attribute is
+    assigned or deleted after construction.
+    """
+
+    def __init_subclass__(cls, eq: bool = True, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls.__match_args__ = names = tuple(cls.__annotations__)
+        cls._defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+        key = attrgetter(*names)
+        # attrgetter of one name gives the value itself, not a 1-tuple
+        cls._key = key if len(names) > 1 else staticmethod(lambda record: (key(record),))
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *args, **kwargs) -> None:
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        for name, value in zip(self._fields, args):
+            _setattr(self, name, value)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values of a call that is not one positional value per field."""
+        fields = cls._fields
+        values = {**cls._defaults, **dict(zip(fields, args)), **kwargs}
+        if (len(args) > len(fields) or not kwargs.keys().isdisjoint(fields[:len(args)])
+                or values.keys() != set(fields)):
+            raise TypeError(f"{cls.__name__}() takes the fields {', '.join(fields)}, each once")
+        return [values[name] for name in fields]
+
+    def _replace(self, **changes):
+        """A copy of the record with the named fields changed."""
+        return type(self)(**{**{name: getattr(self, name) for name in self._fields}, **changes})
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Arrow(Record):
     """A labelled arrow of the extending graph.  The acting graph's arrows
     are unlabelled ``(src, tgt)`` pairs in ``KanPresentation.arr_a``, not
     ``Arrow``s."""
@@ -39,8 +103,7 @@ class Arrow:
     tgt: int
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(Record):
     """A composable arrow sequence with an explicit source object.
 
     The identity path at an object is the empty sequence; paths never
@@ -83,8 +146,7 @@ def compose_paths(p: Path, q: Path) -> Path:
     return Path(p.source, p.arrows + q.arrows)
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(Record):
     """A tagged term ``x|p``: an element label with a path to its right.
 
     ``target`` is the object the term currently sits over (the target of
@@ -105,8 +167,7 @@ class Term:
         return 1 + len(self.path.arrows)
 
 
-@dataclass(frozen=True)
-class KanPresentation:
+class KanPresentation(Record):
     """The nine-field input record.
 
     ``ob_a``/``arr_a`` describe the acting graph (arrows as (src, tgt)
@@ -158,8 +219,7 @@ class KanPresentation:
         return self.f_ob_a[i]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     violations: tuple[str, ...]
 
     @property

@@ -15,14 +15,12 @@ compare as their words' keys do, and equal keys mean equal label lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .model import KanPresentation
+from .model import KanPresentation, Record
 
 
-@dataclass(frozen=True, eq=False)
-class OrderSpec:
+class OrderSpec(Record, eq=False):
     """Linear orders on the two label namespaces, as rank maps."""
 
     x_rank: Mapping[str, int]

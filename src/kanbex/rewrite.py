@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
@@ -26,6 +25,7 @@ from .model import (
     KanPresentation,
     Path,
     PresentationError,
+    Record,
     Term,
     format_path,
     format_term,
@@ -36,16 +36,14 @@ from .ordering import OrderSpec, word_key
 DEFAULT_MAX_RULES, DEFAULT_MAX_PASSES = 10000, 100
 
 
-@dataclass(frozen=True)
-class EpsRule:
+class EpsRule(Record):
     """Tag-anchored term rule; both sides share the same target object."""
 
     lhs: Term
     rhs: Term
 
 
-@dataclass(frozen=True)
-class KRule:
+class KRule(Record):
     """Two-sided rule between parallel paths."""
 
     lhs: Path
@@ -307,8 +305,7 @@ def _rewrite(side: tuple, idx: _RuleIndex) -> tuple[int, tuple]:
 _reduce_term = _reduce_path = _rewrite
 
 
-@dataclass(frozen=True)
-class RewriteSystem:
+class RewriteSystem(Record):
     """A pair of rule families: term rules and path rules."""
 
     term_rules: tuple[EpsRule, ...] = ()
@@ -344,8 +341,7 @@ class CompletionStatus(enum.Enum):
     LIMIT_EXCEEDED = "limit_exceeded"
 
 
-@dataclass(frozen=True)
-class CompletionResult:
+class CompletionResult(Record):
     status: CompletionStatus
     reason: str | None
     system: RewriteSystem
@@ -357,8 +353,7 @@ class CompletionResult:
         return self.status is CompletionStatus.COMPLETE
 
 
-@dataclass(frozen=True)
-class CriticalPair:
+class CriticalPair(Record):
     """Two distinct one-step reducts of a common critical term.
 
     ``case`` records the overlap shape ("i".."v"); ``rules`` the pair of

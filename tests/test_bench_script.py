@@ -14,6 +14,14 @@ bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench)
 
 METRIC = {"name": "t", "unit": "s", "better": "lower", "bound": 0.25}
+CLI_SECONDS = bench.cli_seconds
+
+
+@pytest.fixture(autouse=True)
+def no_cli_runs(monkeypatch):
+    """Start-ups are timed by a stand-in that starts no process: 1 s on
+    the revision, 0.5 s on the working tree."""
+    monkeypatch.setattr(bench, "cli_seconds", lambda tree: 1.0 if tree.name == "base" else 0.5)
 
 
 def run(value, correct=True, failed=0):
@@ -265,3 +273,46 @@ def test_a_workload_filter_runs_only_the_named_workloads(monkeypatch, tmp_path, 
     with pytest.raises(SystemExit) as stop:
         bench.main(["--seeds", "1-2", "--workloads", "w,nope", "-o", str(out)])
     assert stop.value.code == 2
+
+
+def test_the_record_holds_each_sides_startup(monkeypatch, tmp_path):
+    calls = []
+
+    def cli_seconds(tree):
+        calls.append(tree.name)
+        # the first run of each side writes the bytecode and is not counted
+        return 9.0 if calls.count(tree.name) == 1 else 0.1 * len(calls)
+
+    monkeypatch.setattr(bench, "cli_seconds", cli_seconds)
+    monkeypatch.setattr(bench, "run_once", lambda *args, **kwargs: traced(t=1.0))
+    monkeypatch.setattr(bench, "export", lambda rev, into: "0" * 40)
+    monkeypatch.setattr(bench, "copy_worktree", lambda into: None)
+    out = tmp_path / "bench.json"
+    assert bench.main(["--seeds", "1-2", "-o", str(out)]) == 0
+    startup = json.loads(out.read_text())["startup"]
+    assert set(startup) == {"base", "change"}
+    # the sides take turns, each going first every other round
+    assert calls[:6] == ["base", "change", "change", "base", "base", "change"]
+    for side, record in startup.items():
+        assert set(record) == {"median", "min", "runs"}
+        assert len(record["runs"]) == bench.STARTUP_RUNS and 9.0 not in record["runs"]
+        assert record["min"] == min(record["runs"]) <= record["median"]
+    assert startup["base"]["min"] == pytest.approx(0.4)
+    # a side whose start-up fails gets null
+    monkeypatch.setattr(bench, "cli_seconds", lambda tree: None if tree.name == "base" else 1.0)
+    assert bench.main(["--seeds", "1-2", "-o", str(out)]) == 0
+    startup = json.loads(out.read_text())["startup"]
+    assert startup["base"] is None and startup["change"]["median"] == 1.0
+
+
+def test_a_startup_run_writes_bytecode_and_fails_on_an_error(monkeypatch, tmp_path):
+    package = tmp_path / "src" / "kanbex"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "__main__.py").write_text(
+        "import sys\nsys.exit(0 if sys.argv[1:] == ['--help'] else 1)\n")
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert CLI_SECONDS(tmp_path) > 0
+    assert list((package / "__pycache__").glob("__init__.*.pyc"))
+    (package / "__main__.py").write_text("raise SystemExit(1)\n")
+    assert CLI_SECONDS(tmp_path) is None

@@ -547,6 +547,17 @@ def test_the_package_loads_its_names_on_first_use():
     assert proc.stdout.splitlines() == [str(["kanbex"]), str(PUBLIC_NAMES), "True"]
 
 
+def test_the_engine_loads_without_dataclasses_or_inspect():
+    # the records are built without generated code: the two modules that
+    # generate it would cost start-up on every run
+    script = ("import sys, kanbex.cli, kanbex.kan, kanbex.encodings; "
+              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert proc.stdout == "[]\n"
+
+
 COSETS_CSQ_ENUMERATION = {
     "status": "Finite", "total": 4,
     "elements": {"1": [["H"], ["H", "a"], ["H", "c"], ["H", "a", "c"]]},

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -89,13 +88,13 @@ def test_non_string_labels_are_reported(demo_pres):
     # a first letter that is not a str would read as an arrow code in the
     # rule core, so validation is where such a tag has to stop
     for tag in (1, 2.0, ["x1"]):
-        bad = dataclasses.replace(demo_pres, x_ob_a=((tag, "x2", "x3"), ("y1", "y2")))
+        bad = demo_pres._replace(x_ob_a=((tag, "x2", "x3"), ("y1", "y2")))
         assert f"XObA[1]: element label {tag!r} is not a string" in \
             validate_presentation(bad).violations
-    bad = dataclasses.replace(demo_pres, x_arr_a=((1, "y2", "y1"), ("x1", "x2")))
+    bad = demo_pres._replace(x_arr_a=((1, "y2", "y1"), ("x1", "x2")))
     assert "XArrA[1][1]: image 1 is not an element at the target object" in \
         validate_presentation(bad).violations
-    bad = dataclasses.replace(demo_pres, arr_b=(Arrow(7, 1, 2), *demo_pres.arr_b[1:]))
+    bad = demo_pres._replace(arr_b=(Arrow(7, 1, 2), *demo_pres.arr_b[1:]))
     assert "ArrB[1]: label 7 is not a string" in validate_presentation(bad).violations
 
 
@@ -111,7 +110,7 @@ def test_labels_holding_a_separator_are_reported(data_dir):
         "ArrB[4]: label 'b*4' contains '*', which separates labels",
         "XObA[1]: element label 'x*2' contains '*', which separates labels",
     ]
-    both = dataclasses.replace(pres, arr_b=(Arrow("b,*", 1, 2), *pres.arr_b[1:]))
+    both = pres._replace(arr_b=(Arrow("b,*", 1, 2), *pres.arr_b[1:]))
     assert list(validate_presentation(both).violations[:2]) == [
         "ArrB[1]: label 'b,*' contains ',', which separates labels",
         "ArrB[1]: label 'b,*' contains '*', which separates labels",
@@ -123,9 +122,9 @@ def test_hand_built_paths_are_checked(demo_pres):
     # built by hand can break composition or misstate its source
     b = demo_pres.arrow_by_label
     b1, b4 = b["b1"], b["b4"]
-    bad = dataclasses.replace(demo_pres, rel_b=((Path(1, (b1, b1)), Path(1, (b4,))),))
+    bad = demo_pres._replace(rel_b=((Path(1, (b1, b1)), Path(1, (b4,))),))
     assert "RelB[1].lhs: arrows do not compose at 'b1'" in validate_presentation(bad).violations
-    bad = dataclasses.replace(demo_pres, rel_b=((Path(2, (b4,)), Path(1, (b4,))),))
+    bad = demo_pres._replace(rel_b=((Path(2, (b4,)), Path(1, (b4,))),))
     assert "RelB[1].lhs: recorded source 2 disagrees with first arrow" in \
         validate_presentation(bad).violations
 
